@@ -178,30 +178,34 @@ BENCHMARK(BM_DecodeTrace)->Arg(200'000)->Unit(benchmark::kMillisecond);
 static void
 BM_ReplayTrace(benchmark::State &state)
 {
-    // Full LLC+DRAM replay of one recorded thread. arg1 selects the
-    // scheduler: 0 = legacy per-access, 1 = batch kernel (serial),
-    // 4 = batch kernel with 4 set shards. The recording is built
-    // once; each iteration replays it through a fresh System.
+    // Full LLC+DRAM replay of a recorded trace through
+    // System::runReplay. arg1 = lanes (threads of the recording, one
+    // core each; 4 exercises the lane heap), arg2 = LLC set shards
+    // (single-lane runs only). The recording is built once; each
+    // iteration replays it through a fresh System.
     const std::uint64_t accesses = std::uint64_t(state.range(0));
-    const unsigned mode = unsigned(state.range(1));
+    const std::uint32_t lanes = std::uint32_t(state.range(1));
     SystemConfig cfg;
-    cfg.numCores = 1;
-    auto trace = RecordedTrace::record(microConfig(accesses), 1);
+    cfg.numCores = lanes;
+    cfg.shards = std::uint32_t(state.range(2));
+    auto trace = RecordedTrace::record(microConfig(accesses), lanes);
     auto cursors = trace->cursors();
-    std::vector<BatchSource *> srcs{&cursors[0]};
+    std::vector<BatchSource *> srcs;
+    for (TraceCursor &c : cursors)
+        srcs.push_back(&c);
     auto priv = PrivateTrace::record(srcs, cfg.core);
-    cfg.batchReplay = mode != 0;
-    cfg.shards = mode == 0 ? 1 : mode;
     const LlcModel model =
         publishedLlcModel("Chung", CapacityMode::FixedCapacity);
     for (auto _ : state) {
         cursors = trace->cursors();
-        std::vector<ReplaySource *> ptrs{&cursors[0]};
+        std::vector<ReplaySource *> ptrs;
+        for (TraceCursor &c : cursors)
+            ptrs.push_back(&c);
         System system(cfg, model);
-        benchmark::DoNotOptimize(
-            system.runReplay(ptrs, priv.get()));
+        benchmark::DoNotOptimize(system.runReplay(ptrs, *priv));
     }
-    state.SetItemsProcessed(state.iterations() * accesses);
+    state.SetItemsProcessed(state.iterations() *
+                            std::int64_t(trace->totalAccesses()));
     MetricsRegistry &reg = MetricsRegistry::global();
     state.counters["replayAccessesPerSecond"] =
         reg.gauge("sim.replay.accessesPerSecond").get();
@@ -209,9 +213,9 @@ BM_ReplayTrace(benchmark::State &state)
         reg.gauge("sim.replay.blockFillRatio").get();
 }
 BENCHMARK(BM_ReplayTrace)
-    ->Args({200'000, 0})
-    ->Args({200'000, 1})
-    ->Args({200'000, 4})
+    ->Args({200'000, 1, 1})
+    ->Args({200'000, 1, 4})
+    ->Args({200'000, 4, 1})
     ->Unit(benchmark::kMillisecond);
 
 static void
@@ -222,10 +226,7 @@ BM_TechSweep(benchmark::State &state)
     // once/replay-many stores exist to cut. A fresh runner per
     // iteration makes every iteration pay one trace record, one
     // private-level record, and eleven replays. arg1 = jobs, arg2 =
-    // shards (0 = legacy per-access scheduler instead of the batch
-    // kernel). Single-threaded recording, so replays go through the
-    // batch kernel (multi-source runs fall back to the legacy
-    // scheduler regardless of the knobs).
+    // LLC set shards of each (single-lane) replay.
     const std::uint64_t accesses = std::uint64_t(state.range(0));
     const unsigned jobs = unsigned(state.range(1));
     const unsigned shards = unsigned(state.range(2));
@@ -236,8 +237,7 @@ BM_TechSweep(benchmark::State &state)
     for (auto _ : state) {
         ExperimentRunner runner;
         runner.setJobs(jobs);
-        runner.setShards(shards == 0 ? 1 : shards);
-        runner.setBatchReplay(shards != 0);
+        runner.setShards(shards);
         TechSweep sweep =
             runner.sweepTechs(spec, CapacityMode::FixedCapacity);
         benchmark::DoNotOptimize(sweep);
@@ -249,7 +249,6 @@ BM_TechSweep(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * accesses);
 }
 BENCHMARK(BM_TechSweep)
-    ->Args({200'000, 1, 0})
     ->Args({200'000, 1, 1})
     ->Args({200'000, 1, 4})
     ->Args({200'000, 4, 1})

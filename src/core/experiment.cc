@@ -171,7 +171,7 @@ runKey(const GeneratorConfig &gen, const LlcModel &llc,
  * this, but the disk store is shared by arbitrary processes whose
  * base configurations may differ (fault knobs are already inside
  * runKey(); numCores comes in as the per-run thread count, and
- * shards/batchReplay are bit-identical execution strategies).
+ * shards is a bit-identical execution strategy).
  */
 std::string
 baseConfigKey(const SystemConfig &cfg)
@@ -552,15 +552,13 @@ ExperimentRunner::simulateUncached(const BenchmarkSpec &spec,
     SystemConfig cfg = base_;
     cfg.numCores = threads;
     cfg.shards = shards_;
-    cfg.batchReplay = batchReplay_;
     cfg.perCoreLlcStats = spec.gen.perThreadStats;
 
     // Replay the workload's recorded trace: generation happens once
     // per (generator, threads) for the runner's lifetime, and every
     // model replays the identical packed sequence. The private-level
     // recording rides one layer above it, so each model simulates
-    // only the shared LLC and DRAM — through the batch kernel when
-    // single-threaded (bit-identical either way).
+    // only the shared LLC and DRAM.
     auto trace = recordedTrace(spec.gen, threads);
     auto priv = privateTrace(spec.gen, threads);
     auto cursors = trace->cursors();
@@ -570,7 +568,7 @@ ExperimentRunner::simulateUncached(const BenchmarkSpec &spec,
         ptrs.push_back(&c);
 
     System system(cfg, llc);
-    return system.runReplay(ptrs, priv.get());
+    return system.runReplay(ptrs, *priv);
 }
 
 namespace {

@@ -404,12 +404,17 @@ class CoreSweepStudyDef : public Study
     applyParam(const std::string &key,
                const std::string &value) override
     {
-        if (key == "workloads")
+        if (key == "workloads") {
             cfg_.workloads = ArgParser::parseStrList(value);
-        else if (key == "techs")
+            // Resolve now: an unknown spec is a parameter error here,
+            // not a fatal lookup in shardRequests() or mid-study.
+            for (const std::string &w : cfg_.workloads)
+                WorkloadRegistry::global().resolve(w);
+        } else if (key == "techs") {
             cfg_.techs = ArgParser::parseStrList(value);
-        else if (key == "cores")
+        } else if (key == "cores") {
             cfg_.coreCounts = parseU32List(key, value);
+        }
     }
 
   private:

@@ -340,14 +340,8 @@ SetAssocCache::exportStats(MetricsRegistry &reg,
     reg.counter(prefix + ".misses").inc(misses_);
     reg.counter(prefix + ".writebacks").inc(writebacks_);
 
-    Distribution &evictions =
-        reg.distribution(prefix + ".evictionsPerSet");
-    for (std::uint32_t e : setEvictions_)
-        evictions.add(double(e));
-
-    Distribution &writes = reg.distribution(prefix + ".writesPerLine");
-    for (std::uint32_t w : lineWrites_)
-        writes.add(double(w));
+    reg.distribution(prefix + ".evictionsPerSet").addAll(setEvictions_);
+    reg.distribution(prefix + ".writesPerLine").addAll(lineWrites_);
 }
 
 } // namespace nvmcache

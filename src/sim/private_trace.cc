@@ -28,14 +28,8 @@ PrivateTrace::CachePortrait::exportInto(MetricsRegistry &reg,
     reg.counter(prefix + ".misses").inc(misses);
     reg.counter(prefix + ".writebacks").inc(writebacks);
 
-    Distribution &evictions =
-        reg.distribution(prefix + ".evictionsPerSet");
-    for (std::uint32_t e : setEvictions)
-        evictions.add(double(e));
-
-    Distribution &writes = reg.distribution(prefix + ".writesPerLine");
-    for (std::uint32_t w : lineWrites)
-        writes.add(double(w));
+    reg.distribution(prefix + ".evictionsPerSet").addAll(setEvictions);
+    reg.distribution(prefix + ".writesPerLine").addAll(lineWrites);
 }
 
 std::shared_ptr<const PrivateTrace>
@@ -58,13 +52,9 @@ PrivateTrace::record(const std::vector<BatchSource *> &sources,
             for (std::size_t i = 0; i < n; ++i) {
                 PrivateAccessOutcome out =
                     core.accessPrivate(batch[i]);
-                const std::uint8_t outcome =
-                    out.satisfied ? (out.latencyCycles
-                                         ? PrivateEvent::kL2Hit
-                                         : PrivateEvent::kL1Hit)
-                                  : PrivateEvent::kMiss;
-                const std::uint8_t nib = std::uint8_t(
-                    outcome | (out.writebacks.count << 2));
+                const std::uint8_t nib =
+                    std::uint8_t(PrivateEvent::outcomeOf(out) |
+                                 (out.writebacks.count << 2));
                 if ((lane.count & 1) == 0)
                     lane.events.push_back(0);
                 lane.events.back() |=

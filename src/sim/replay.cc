@@ -1,34 +1,41 @@
 /**
  * @file
- * Vectorized batch-replay kernel with set-sharded LLC classification.
+ * Replay kernels: the block-decoded lane kernel every replay run goes
+ * through, and the set-sharded single-source variant.
  *
- * A single-source replay run fixes the global LLC operation order
- * upfront: the trace dictates every demand read and every recorded
- * L2 victim, and nothing the LLC decides feeds back into which
- * operation comes next. That splits the simulation into
+ * Lane kernel. Each source is a lane on its own core. A lane decodes
+ * its packed trace and private recording into paired SoA blocks (no
+ * per-access virtual dispatch or varint pointer chasing) and runs
+ * its private-only accesses — an L1 hit, or an L2 hit with no dirty
+ * victim — back to back: they advance only that core's clock and
+ * touch no shared state. At its next LLC-reaching access the lane
+ * enters a (local cycle, core) min-heap, keyed by the core's cycle
+ * before that access issues. The root lane's access runs against
+ * the shared LLC and DRAM, the lane advances to its next
+ * LLC-reaching access, and its key is re-sunk.
  *
- *  1. a decode pass expanding the packed trace + private recording
- *     into SoA blocks (no per-access virtual dispatch or varint
- *     pointer chasing in the simulation loops),
- *  2. a classification pass running every operation's tag walk and
- *     fault draws — per-set state only — over K disjoint set shards,
- *     each on its own SharedLlc instance and thread, with the
- *     known-future addresses prefetched ahead of the walk, and
- *  3. a timing pass on the driving thread applying the precomputed
- *     decisions in global access order: core issue/stall arithmetic,
- *     bank reservations, DRAM queueing, energies and histograms.
+ * Determinism: the live per-access scheduler (System::run) steps
+ * the min-(cycle, core) core one access at a time. A core's key
+ * never decreases, so its picks form a merge of per-core sorted key
+ * sequences: the LLC-reaching accesses reach the shared levels in
+ * (key, core) order, which is exactly the lane heap's order, and
+ * the private-only steps in between commute with every other core's
+ * work. SimStats are therefore bit-identical to the live run of the
+ * same traces; with one source the heap degenerates to a loop.
  *
- * Determinism: per-set tag state and the counter-based per-line
- * fault draws only depend on the per-set operation subsequence,
- * which every shard processes in global order; all order-sensitive
- * accumulation (floating-point energies, Welford histograms, the
- * capacity-over-time sampler) happens in pass 3 in exactly the
- * fused demandRead/writeback order. SimStats are therefore
- * bit-identical to the per-access scheduler at any shard count.
- *
- * Multi-source runs interleave cores by local time, so shared-LLC
- * timing feeds back into the per-set operation order; they fall back
- * to the min-local-time scheduler (System::run).
+ * Sharded variant. A single-source run fixes the global LLC
+ * operation order upfront: the trace dictates every demand read and
+ * every recorded L2 victim, and nothing the LLC decides feeds back
+ * into which operation comes next. With cfg.shards > 1 the run
+ * therefore classifies every operation's tag walk and fault draws —
+ * per-set state only — over K disjoint set shards, each on its own
+ * SharedLlc instance and thread, then applies timing on the driving
+ * thread in global access order: core issue/stall arithmetic, bank
+ * reservations, DRAM queueing, energies and histograms. Per-set tag
+ * state and the counter-based per-line fault draws only depend on
+ * the per-set operation subsequence, which every shard processes in
+ * global order, so the merged state is bit-identical at any shard
+ * count.
  */
 
 #include "sim/system.hh"
@@ -64,13 +71,12 @@ struct ReplayOp
 constexpr std::size_t kClassifyPrefetch = 16;
 
 /**
- * Serial fast-path lookaheads: demand addresses far enough ahead to
- * cover a full access's simulation cost (matches the per-access
- * scheduler's tuned distance), recorded L2 victims a few writebacks
+ * Lane lookaheads: demand addresses far enough ahead to cover a full
+ * access's simulation cost, recorded L2 victims a few writebacks
  * ahead.
  */
-constexpr std::size_t kSerialPrefetch = 24;
-constexpr std::size_t kWbPrefetch = 6;
+constexpr std::uint32_t kLanePrefetch = 24;
+constexpr std::uint32_t kWbPrefetch = 6;
 
 /**
  * Resource guard on the shard count: each shard owns a full tag
@@ -96,46 +102,217 @@ classifyOps(SharedLlc &llc, std::vector<ReplayOp> &ops,
 
 } // namespace
 
+void
+System::sharedStep(std::uint32_t coreIdx, AccessKind kind,
+                   std::uint64_t addr, std::uint8_t outcome,
+                   const std::uint64_t *wb, std::uint32_t nwb)
+{
+    PrivateCore &core = cores_[coreIdx];
+    CoreLlcCounters &share = coreLlc_[coreIdx];
+    const std::uint64_t now = std::uint64_t(core.cycle());
+    if (outcome != PrivateEvent::kL1Hit)
+        ++l1Misses_;
+
+    // Dirty L2 victims stream down to the LLC regardless of whether
+    // the demand access was satisfied privately.
+    share.writebacks += nwb;
+    for (std::uint32_t j = 0; j < nwb; ++j) {
+        const LlcWritebackOutcome wbo = llc_->writeback(wb[j], now);
+        if (wbo.stallCycles)
+            core.applyRawStall(wbo.stallCycles);
+        if (wbo.forwardedToDram)
+            dram_->write(wb[j], now);
+        if (wbo.victimDirty)
+            dram_->write(wbo.victimAddr, now);
+    }
+
+    if (outcome == PrivateEvent::kL1Hit)
+        return;
+    if (outcome == PrivateEvent::kL2Hit) {
+        core.applyStall(kind, cfg_.core.l2Cycles);
+        return;
+    }
+
+    // Demand read reaches the shared LLC.
+    ++l2Misses_;
+    std::uint64_t latency = cfg_.core.l2Cycles;
+    const LlcReadOutcome rd = llc_->demandRead(addr, now + latency);
+    ++share.demandReads;
+    ++(rd.hit ? share.demandHits : share.demandMisses);
+    latency += rd.latencyCycles;
+    if (!rd.hit) {
+        latency += dram_->read(addr, now + latency);
+        if (rd.victimDirty)
+            dram_->write(rd.victimAddr, now + latency);
+    }
+    core.applyStall(kind, latency);
+}
+
 SimStats
 System::runReplay(const std::vector<ReplaySource *> &sources,
-                  const PrivateTrace *privateTrace)
+                  const PrivateTrace &privateTrace)
 {
     if (sources.empty())
         fatal("System::runReplay: no threads");
-    MetricsRegistry &greg = MetricsRegistry::global();
-
-    if (sources.size() != 1 || privateTrace == nullptr ||
-        privateTrace->threads() != sources.size() ||
-        !cfg_.batchReplay) {
-        // Multi-source interleaving feeds shared-resource timing
-        // back into the per-set operation order, so decisions cannot
-        // be precomputed; the min-local-time scheduler handles it
-        // (and reports any source/recording mismatch).
-        greg.counter("sim.replay.runs.fallback").inc(1);
-        if (tracingEnabled())
-            traceInstant("replay.fallback", "engine",
-                         TraceContext::current().path + "/replay");
-        std::vector<BatchSource *> batch(sources.begin(),
-                                         sources.end());
-        return run(batch, privateTrace);
-    }
+    if (sources.size() > cores_.size())
+        fatal("System::runReplay: more threads (", sources.size(),
+              ") than cores (", cores_.size(), ")");
+    if (privateTrace.threads() != sources.size())
+        fatal("System::runReplay: private trace has ",
+              privateTrace.threads(), " lanes for ", sources.size(),
+              " sources");
 
     const auto t0 = std::chrono::steady_clock::now();
+    TraceSpan runSpan("replay.run", "engine",
+                      TraceContext::current().path + "/replay");
+    MetricsRegistry &greg = MetricsRegistry::global();
 
-    // One "replay.run" span covers the whole kernel; the per-block
-    // classify/timing spans below (category "replay") exist only on
-    // the sharded path — they describe host-side execution structure
-    // and are the single shard-dependent trace category.
+    std::uint32_t shards = cfg_.shards ? cfg_.shards : defaultShards();
+    shards = std::min(shards, kMaxShards);
+    shards = std::uint32_t(
+        std::min<std::uint64_t>(shards, llc_->geometry().numSets()));
+    if (llc_->geometry().replacement == ReplacementPolicy::Random)
+        shards = 1; // random victim picks draw from one whole-cache stream
+
+    ReplayVolume vol;
+    if (sources.size() == 1 && shards > 1) {
+        vol = replaySharded(*sources[0], privateTrace, shards);
+        greg.counter("sim.replay.runs.sharded").inc(1);
+    } else {
+        vol = replayLanes(sources, privateTrace);
+    }
+
+    const double seconds =
+        std::chrono::duration<double>(
+            std::chrono::steady_clock::now() - t0)
+            .count();
+    greg.counter("sim.replay.runs.lanes" +
+                 std::to_string(sources.size()))
+        .inc(1);
+    greg.counter("sim.replay.accesses").inc(vol.accesses);
+    if (seconds > 0.0)
+        greg.gauge("sim.replay.accessesPerSecond")
+            .set(double(vol.accesses) / seconds);
+    if (vol.blocks > 0)
+        greg.gauge("sim.replay.blockFillRatio")
+            .set(double(vol.accesses) /
+                 double(vol.blocks * TraceBlock::kCapacity));
+
+    return collectStats(sources.size(), &privateTrace);
+}
+
+System::ReplayVolume
+System::replayLanes(const std::vector<ReplaySource *> &sources,
+                    const PrivateTrace &privateTrace)
+{
+    // sources[i] runs on core i, paired with recording lane i.
+    struct Lane
+    {
+        TraceBlock tb;
+        PrivateBlock pb;
+        PrivateCursor cursor;
+        std::uint32_t pos = 0; ///< next access of tb
+        std::uint32_t wb = 0;  ///< next victim of pb.wbAddr
+    };
+    const std::uint32_t numLanes = std::uint32_t(sources.size());
+    std::vector<Lane> lanes(numLanes);
+    ReplayVolume vol;
+    const std::uint32_t l2Cycles = cfg_.core.l2Cycles;
+
+    // Run lane i's private-only accesses up to its next LLC-reaching
+    // one; false once its trace is drained.
+    auto advance = [&](std::uint32_t i) {
+        Lane &lane = lanes[i];
+        PrivateCore &core = cores_[i];
+        for (;;) {
+            if (lane.pos == lane.tb.count) {
+                const std::uint32_t n = sources[i]->fillBlock(lane.tb);
+                if (n == 0)
+                    return false;
+                lane.cursor.fillBlock(n, lane.pb);
+                lane.pos = 0;
+                lane.wb = 0;
+                vol.accesses += n;
+                ++vol.blocks;
+            }
+            const std::uint32_t n = lane.tb.count;
+            for (std::uint32_t p = lane.pos; p < n; ++p) {
+                const std::uint8_t outcome = lane.pb.outcome[p];
+                if (outcome == PrivateEvent::kMiss ||
+                    lane.pb.wbCount[p] != 0) {
+                    lane.pos = p;
+                    return true;
+                }
+                if (p + kLanePrefetch < n)
+                    llc_->prefetchTag(lane.tb.addr[p + kLanePrefetch]);
+                core.advanceIssue(lane.tb.gap[p]);
+                if (outcome == PrivateEvent::kL2Hit) {
+                    ++l1Misses_;
+                    core.applyStall(AccessKind(lane.tb.kind[p]),
+                                    l2Cycles);
+                }
+            }
+            lane.pos = n;
+        }
+    };
+
+    // Simulate lane i's pending LLC-reaching access.
+    auto llcStep = [&](std::uint32_t i) {
+        Lane &lane = lanes[i];
+        const std::uint32_t p = lane.pos++;
+        const std::uint8_t nwb = lane.pb.wbCount[p];
+        if (p + kLanePrefetch < lane.tb.count)
+            llc_->prefetchTag(lane.tb.addr[p + kLanePrefetch]);
+        if (lane.wb + kWbPrefetch < lane.pb.wbTotal)
+            llc_->prefetchTag(lane.pb.wbAddr[lane.wb + kWbPrefetch]);
+        cores_[i].advanceIssue(lane.tb.gap[p]);
+        sharedStep(i, AccessKind(lane.tb.kind[p]), lane.tb.addr[p],
+                   lane.pb.outcome[p], &lane.pb.wbAddr[lane.wb], nwb);
+        lane.wb += nwb;
+    };
+
+    // Lanes waiting at an LLC-reaching access, keyed by their cycle
+    // before that access issues.
+    std::vector<CoreKey> heap;
+    heap.reserve(numLanes);
+    for (std::uint32_t i = 0; i < numLanes; ++i) {
+        lanes[i].cursor = privateTrace.cursor(i);
+        if (advance(i))
+            heap.push_back({cores_[i].cycle(), i});
+    }
+    std::make_heap(heap.begin(), heap.end(),
+                   [](const CoreKey &a, const CoreKey &b) {
+                       return b < a; // std heaps put the max first
+                   });
+
+    while (!heap.empty()) {
+        const std::uint32_t i = heap[0].core;
+        llcStep(i);
+        if (advance(i)) {
+            heap[0].cycle = cores_[i].cycle();
+        } else { // trace drained: retire the lane
+            heap[0] = heap.back();
+            heap.pop_back();
+            if (heap.empty())
+                break;
+        }
+        siftDown(heap);
+    }
+    return vol;
+}
+
+System::ReplayVolume
+System::replaySharded(ReplaySource &source,
+                      const PrivateTrace &privateTrace,
+                      std::uint32_t S)
+{
+    // Per-block classify/timing spans (category "replay") describe
+    // host-side execution structure and are the single
+    // shard-dependent trace category.
     const TraceContext traceCtx = TraceContext::current();
     const std::string traceBase = traceCtx.path + "/replay";
-    TraceSpan runSpan("replay.run", "engine", traceBase);
 
     const std::uint64_t numSets = llc_->geometry().numSets();
-    std::uint32_t S = cfg_.shards ? cfg_.shards : defaultShards();
-    S = std::min(S, kMaxShards);
-    S = std::uint32_t(std::min<std::uint64_t>(S, numSets));
-    if (llc_->geometry().replacement == ReplacementPolicy::Random)
-        S = 1; // random victim picks draw from one whole-cache stream
     const std::uint32_t setBits =
         std::uint32_t(std::countr_zero(numSets));
 
@@ -148,22 +325,15 @@ System::runReplay(const std::vector<ReplaySource *> &sources,
     };
 
     std::vector<std::unique_ptr<SharedLlc>> shardLlcs;
-    std::vector<SharedLlc *> classifier;
-    std::unique_ptr<ThreadPool> pool;
-    if (S > 1) {
-        shardLlcs.reserve(S);
-        classifier.reserve(S);
-        for (std::uint32_t s = 0; s < S; ++s) {
-            shardLlcs.push_back(std::make_unique<SharedLlc>(
-                llc_->model(), llc_->config(), cfg_.frequency));
-            classifier.push_back(shardLlcs.back().get());
-        }
-        pool = std::make_unique<ThreadPool>(S);
-    }
+    shardLlcs.reserve(S);
+    for (std::uint32_t s = 0; s < S; ++s)
+        shardLlcs.push_back(std::make_unique<SharedLlc>(
+            llc_->model(), llc_->config(), cfg_.frequency));
+    ThreadPool pool(S);
 
     PrivateCore &core = cores_[0];
-    PrivateCursor pcur = privateTrace->cursor(0);
-    ReplaySource *src = sources[0];
+    CoreLlcCounters &share = coreLlc_[0];
+    PrivateCursor pcur = privateTrace.cursor(0);
     const bool faults = llc_->faultsEnabled();
     std::uint64_t liveLines = llc_->geometry().numLines();
 
@@ -174,80 +344,16 @@ System::runReplay(const std::vector<ReplaySource *> &sources,
     for (auto &v : shardOps)
         v.reserve(ops.size());
 
-    std::uint64_t totalAccesses = 0;
-    std::uint64_t blocks = 0;
-
+    ReplayVolume vol;
     std::uint32_t n;
-    while ((n = src->fillBlock(tb)) != 0) {
-        ++blocks;
-        totalAccesses += n;
+    while ((n = source.fillBlock(tb)) != 0) {
+        ++vol.blocks;
+        vol.accesses += n;
         pcur.fillBlock(n, pb);
-
-        if (S == 1) {
-            // Serial fast path: no decision staging — each access
-            // runs the fused tick+classify+finish entry points
-            // directly off the decoded SoA block. The block gives
-            // the same future-address lookahead the sharded path
-            // prefetches from, without materializing an op list.
-            std::uint32_t w1 = 0;
-            for (std::uint32_t i = 0; i < n; ++i) {
-                if (i + kSerialPrefetch < n)
-                    llc_->prefetchTag(
-                        tb.addr[i + kSerialPrefetch]);
-                // The recorded L2-victim stream is known too; pull
-                // its tag sets ahead of the writeback walks (the
-                // per-access scheduler can't — it learns victims
-                // one access at a time).
-                if (w1 + kWbPrefetch < pb.wbTotal)
-                    llc_->prefetchTag(pb.wbAddr[w1 + kWbPrefetch]);
-                core.advanceIssue(tb.gap[i]);
-                const std::uint8_t outcome = pb.outcome[i];
-                const std::uint8_t nwb = pb.wbCount[i];
-                if (outcome == PrivateEvent::kL1Hit && nwb == 0)
-                    continue;
-                const std::uint64_t now =
-                    std::uint64_t(core.cycle());
-                if (outcome != PrivateEvent::kL1Hit)
-                    ++l1Misses_;
-
-                for (std::uint8_t j = 0; j < nwb; ++j) {
-                    const std::uint64_t addr = pb.wbAddr[w1++];
-                    const LlcWritebackOutcome wbo =
-                        llc_->writeback(addr, now);
-                    if (wbo.stallCycles)
-                        core.applyRawStall(wbo.stallCycles);
-                    if (wbo.forwardedToDram)
-                        dram_->write(addr, now);
-                    if (wbo.victimDirty)
-                        dram_->write(wbo.victimAddr, now);
-                }
-
-                if (outcome == PrivateEvent::kL1Hit)
-                    continue;
-                if (outcome == PrivateEvent::kL2Hit) {
-                    core.applyStall(AccessKind(tb.kind[i]),
-                                    cfg_.core.l2Cycles);
-                    continue;
-                }
-
-                ++l2Misses_;
-                std::uint64_t latency = cfg_.core.l2Cycles;
-                const LlcReadOutcome rd =
-                    llc_->demandRead(tb.addr[i], now + latency);
-                latency += rd.latencyCycles;
-                if (!rd.hit) {
-                    latency += dram_->read(tb.addr[i], now + latency);
-                    if (rd.victimDirty)
-                        dram_->write(rd.victimAddr, now + latency);
-                }
-                core.applyStall(AccessKind(tb.kind[i]), latency);
-            }
-            continue;
-        }
 
         // Expand the block into its LLC operation list: per access,
         // the recorded L2 victims then (on a private miss) the
-        // demand read — the exact order replayStep issues them.
+        // demand read — the exact order sharedStep issues them.
         std::uint32_t numOps = 0;
         std::uint32_t w = 0;
         for (std::uint32_t i = 0; i < n; ++i) {
@@ -273,7 +379,7 @@ System::runReplay(const std::vector<ReplaySource *> &sources,
                 .push_back(k);
         const std::string blockId =
             tracingEnabled()
-                ? traceBase + "/b" + std::to_string(blocks - 1)
+                ? traceBase + "/b" + std::to_string(vol.blocks - 1)
                 : std::string();
         {
             TraceSpan classifySpan("replay.classify", "replay",
@@ -281,13 +387,13 @@ System::runReplay(const std::vector<ReplaySource *> &sources,
             std::vector<std::future<void>> done;
             done.reserve(S);
             for (std::uint32_t s = 0; s < S; ++s)
-                done.push_back(pool->submit([&, s]() {
+                done.push_back(pool.submit([&, s]() {
                     TraceScope scope(TraceContext{
                         blockId + "/s" + std::to_string(s),
                         traceCtx.traceId});
                     TraceSpan span("replay.classify.shard", "replay",
                                    TraceContext::current().path);
-                    classifyOps(*classifier[s], ops,
+                    classifyOps(*shardLlcs[s], ops,
                                 shardOps[s].data(),
                                 shardOps[s].size());
                 }));
@@ -295,7 +401,7 @@ System::runReplay(const std::vector<ReplaySource *> &sources,
                 f.get();
         }
 
-        // Timing pass, in global access order: replayStep's exact
+        // Timing pass, in global access order: sharedStep's exact
         // arithmetic with the classification verdicts precomputed.
         TraceSpan timingSpan("replay.timing", "replay", blockId);
         std::uint32_t opIdx = 0;
@@ -309,6 +415,7 @@ System::runReplay(const std::vector<ReplaySource *> &sources,
             if (outcome != PrivateEvent::kL1Hit)
                 ++l1Misses_;
 
+            share.writebacks += nwb;
             for (std::uint8_t j = 0; j < nwb; ++j) {
                 const ReplayOp &op = ops[opIdx++];
                 if (faults) {
@@ -342,6 +449,8 @@ System::runReplay(const std::vector<ReplaySource *> &sources,
             std::uint64_t latency = cfg_.core.l2Cycles;
             const LlcReadOutcome rd =
                 llc_->finishRead(op.d, op.addr, now + latency);
+            ++share.demandReads;
+            ++(rd.hit ? share.demandHits : share.demandMisses);
             latency += rd.latencyCycles;
             if (!rd.hit) {
                 latency += dram_->read(op.addr, now + latency);
@@ -352,29 +461,10 @@ System::runReplay(const std::vector<ReplaySource *> &sources,
         }
     }
 
-    if (S > 1) {
-        for (std::uint32_t s = 0; s < S; ++s)
-            llc_->absorbShard(*shardLlcs[s], shardBegin(s),
-                              shardBegin(s + 1));
-        greg.counter("sim.replay.runs.sharded").inc(1);
-    } else {
-        greg.counter("sim.replay.runs.serial").inc(1);
-    }
-
-    const double seconds =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-    greg.counter("sim.replay.accesses").inc(totalAccesses);
-    if (seconds > 0.0)
-        greg.gauge("sim.replay.accessesPerSecond")
-            .set(double(totalAccesses) / seconds);
-    if (blocks > 0)
-        greg.gauge("sim.replay.blockFillRatio")
-            .set(double(totalAccesses) /
-                 double(blocks * TraceBlock::kCapacity));
-
-    return collectStats(1, privateTrace);
+    for (std::uint32_t s = 0; s < S; ++s)
+        llc_->absorbShard(*shardLlcs[s], shardBegin(s),
+                          shardBegin(s + 1));
+    return vol;
 }
 
 } // namespace nvmcache

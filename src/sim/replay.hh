@@ -1,9 +1,8 @@
 /**
  * @file
- * Batched (SoA) trace-block interface of the vectorized replay
- * kernel.
+ * Batched (SoA) trace-block interface of the replay lane kernel.
  *
- * System::runReplay consumes a recorded trace in fixed-size blocks
+ * System::runReplay consumes each recorded thread in fixed-size blocks
  * instead of per-access pulls: the producer expands its packed
  * encoding (varint address deltas, 2-bit kinds, varint gaps) into
  * dense parallel arrays once per block, and the simulation kernel
@@ -40,8 +39,7 @@ struct TraceBlock
 
 /**
  * BatchSource that can additionally decode whole SoA blocks. The
- * per-access fill() view stays available for the legacy scheduler
- * (multi-source runs) and generic consumers.
+ * fill() view stays available for live runs and generic consumers.
  */
 class ReplaySource : public BatchSource
 {

@@ -50,49 +50,12 @@ System::System(const SystemConfig &cfg, const LlcModel &llcModel)
 void
 System::step(std::uint32_t coreIdx, const MemAccess &access)
 {
-    PrivateCore &core = cores_[coreIdx];
-    PrivateAccessOutcome out = core.accessPrivate(access);
-    const std::uint64_t now = std::uint64_t(core.cycle());
-
-    const bool l1_hit = out.satisfied && out.latencyCycles == 0;
-    if (!l1_hit)
-        ++l1Misses_;
-
-    // Dirty L2 victims stream down to the LLC regardless of whether
-    // the demand access was satisfied privately.
-    coreLlc_[coreIdx].writebacks += out.writebacks.count;
-    for (std::uint32_t i = 0; i < out.writebacks.count; ++i) {
-        LlcWritebackOutcome wb =
-            llc_->writeback(out.writebacks.addr[i], now);
-        if (wb.stallCycles)
-            core.applyRawStall(wb.stallCycles);
-        if (wb.forwardedToDram)
-            dram_->write(out.writebacks.addr[i], now);
-        if (wb.victimDirty)
-            dram_->write(wb.victimAddr, now);
-    }
-
-    if (out.satisfied) {
-        if (out.latencyCycles) // L2 hit
-            core.applyStall(access.kind, out.latencyCycles);
-        return;
-    }
-
-    ++l2Misses_;
-
-    // Demand read reaches the shared LLC.
-    std::uint64_t latency = out.latencyCycles;
-    LlcReadOutcome rd = llc_->demandRead(access.addr, now + latency);
-    ++coreLlc_[coreIdx].demandReads;
-    ++(rd.hit ? coreLlc_[coreIdx].demandHits
-              : coreLlc_[coreIdx].demandMisses);
-    latency += rd.latencyCycles;
-    if (!rd.hit) {
-        latency += dram_->read(access.addr, now + latency);
-        if (rd.victimDirty)
-            dram_->write(rd.victimAddr, now + latency);
-    }
-    core.applyStall(access.kind, latency);
+    const PrivateAccessOutcome out =
+        cores_[coreIdx].accessPrivate(access);
+    const std::uint8_t outcome = PrivateEvent::outcomeOf(out);
+    if (outcome != PrivateEvent::kL1Hit) // an L1 hit never evicts
+        sharedStep(coreIdx, access.kind, access.addr, outcome,
+                   out.writebacks.addr.data(), out.writebacks.count);
 }
 
 SimStats
@@ -114,29 +77,11 @@ System::run(const std::vector<TraceSource *> &threads)
 SimStats
 System::run(const std::vector<BatchSource *> &sources)
 {
-    return run(sources, nullptr);
-}
-
-SimStats
-System::run(const std::vector<BatchSource *> &sources,
-            const PrivateTrace *privateTrace)
-{
     if (sources.empty())
         fatal("System::run: no threads");
     if (sources.size() > cores_.size())
         fatal("System::run: more threads (", sources.size(),
               ") than cores (", cores_.size(), ")");
-    if (privateTrace && privateTrace->threads() != sources.size())
-        fatal("System::run: private trace has ",
-              privateTrace->threads(), " lanes for ", sources.size(),
-              " sources");
-
-    std::vector<PrivateCursor> privateCursors;
-    if (privateTrace) {
-        privateCursors.reserve(sources.size());
-        for (std::uint32_t i = 0; i < sources.size(); ++i)
-            privateCursors.push_back(privateTrace->cursor(i));
-    }
 
     // sources[i] runs on core i (round-robin is the identity while
     // threads <= cores, which the check above guarantees).
@@ -149,41 +94,10 @@ System::run(const std::vector<BatchSource *> &sources,
     std::vector<Lane> lanes(sources.size());
 
     // Min-local-time scheduling keeps shared-resource timestamps
-    // approximately globally ordered. Active cores live in a binary
-    // min-heap keyed on (local cycle, core index) — the same pick
-    // order as a linear scan taking the first strict minimum, at
-    // O(log cores) per step. A core's key only grows, so after each
-    // step the root is re-sunk in place.
-    struct Entry
-    {
-        double cycle;
-        std::uint32_t core;
-    };
-    std::vector<Entry> heap(sources.size());
+    // approximately globally ordered.
+    std::vector<CoreKey> heap(sources.size());
     for (std::uint32_t i = 0; i < sources.size(); ++i)
         heap[i] = {0.0, i}; // equal keys in index order: a valid heap
-
-    auto before = [](const Entry &a, const Entry &b) {
-        return a.cycle < b.cycle ||
-               (a.cycle == b.cycle && a.core < b.core);
-    };
-    auto siftDown = [&] {
-        std::size_t i = 0;
-        const std::size_t n = heap.size();
-        Entry e = heap[0];
-        while (true) {
-            std::size_t child = 2 * i + 1;
-            if (child >= n)
-                break;
-            if (child + 1 < n && before(heap[child + 1], heap[child]))
-                ++child;
-            if (!before(heap[child], e))
-                break;
-            heap[i] = heap[child];
-            i = child;
-        }
-        heap[i] = e;
-    };
 
     while (!heap.empty()) {
         const std::uint32_t i = heap[0].core;
@@ -196,7 +110,7 @@ System::run(const std::vector<BatchSource *> &sources,
                 heap[0] = heap.back();
                 heap.pop_back();
                 if (!heap.empty())
-                    siftDown();
+                    siftDown(heap);
                 continue;
             }
         }
@@ -209,63 +123,12 @@ System::run(const std::vector<BatchSource *> &sources,
         const std::uint32_t ahead = lane.pos + 24;
         if (ahead < lane.count)
             llc_->prefetchTag(lane.buf[ahead].addr);
-        if (privateTrace)
-            replayStep(i, lane.buf[lane.pos++], privateCursors[i]);
-        else
-            step(i, lane.buf[lane.pos++]);
+        step(i, lane.buf[lane.pos++]);
         heap[0].cycle = cores_[i].cycle();
-        siftDown();
+        siftDown(heap);
     }
 
-    return collectStats(sources.size(), privateTrace);
-}
-
-void
-System::replayStep(std::uint32_t coreIdx, const MemAccess &access,
-                   PrivateCursor &cursor)
-{
-    // Mirrors step() operation for operation; only the private-level
-    // outcome comes from the recording instead of the L1/L2 walk.
-    PrivateCore &core = cores_[coreIdx];
-    core.advanceIssue(access.nonMemInstrs);
-    const PrivateEvent ev = cursor.next();
-    const std::uint64_t now = std::uint64_t(core.cycle());
-
-    if (ev.outcome != PrivateEvent::kL1Hit)
-        ++l1Misses_;
-
-    coreLlc_[coreIdx].writebacks += ev.wbCount;
-    for (std::uint8_t i = 0; i < ev.wbCount; ++i) {
-        LlcWritebackOutcome wb = llc_->writeback(ev.wb[i], now);
-        if (wb.stallCycles)
-            core.applyRawStall(wb.stallCycles);
-        if (wb.forwardedToDram)
-            dram_->write(ev.wb[i], now);
-        if (wb.victimDirty)
-            dram_->write(wb.victimAddr, now);
-    }
-
-    if (ev.outcome == PrivateEvent::kL1Hit)
-        return;
-    if (ev.outcome == PrivateEvent::kL2Hit) {
-        core.applyStall(access.kind, cfg_.core.l2Cycles);
-        return;
-    }
-
-    ++l2Misses_;
-
-    std::uint64_t latency = cfg_.core.l2Cycles;
-    LlcReadOutcome rd = llc_->demandRead(access.addr, now + latency);
-    ++coreLlc_[coreIdx].demandReads;
-    ++(rd.hit ? coreLlc_[coreIdx].demandHits
-              : coreLlc_[coreIdx].demandMisses);
-    latency += rd.latencyCycles;
-    if (!rd.hit) {
-        latency += dram_->read(access.addr, now + latency);
-        if (rd.victimDirty)
-            dram_->write(rd.victimAddr, now + latency);
-    }
-    core.applyStall(access.kind, latency);
+    return collectStats(sources.size(), nullptr);
 }
 
 SimStats
@@ -330,17 +193,10 @@ System::collectStats(std::size_t numThreads,
     reg.gauge("sim.mpki").set(stats.llcMpki());
     stats.detail = reg.snapshot();
 
-    // Per-tenant LLC traffic split (tenants workload family). The
-    // batch kernel path never runs step()/replayStep(), but it is
-    // single-source only — there core 0 carries the entire LlcStats,
-    // so deriving that case keeps the kernel and the per-access
-    // scheduler byte-identical.
+    // Per-tenant LLC traffic split (tenants workload family).
     if (cfg_.perCoreLlcStats) {
         for (std::size_t i = 0; i < numThreads; ++i) {
-            CoreLlcCounters c = coreLlc_[i];
-            if (numThreads == 1)
-                c = {stats.llc.demandReads, stats.llc.demandHits,
-                     stats.llc.demandMisses, stats.llc.writebacksIn};
+            const CoreLlcCounters &c = coreLlc_[i];
             MetricsRegistry treg;
             treg.counter("llc.demandReads").inc(c.demandReads);
             treg.counter("llc.demandHits").inc(c.demandHits);

@@ -33,21 +33,13 @@ struct SystemConfig
     DramConfig dram;
 
     /**
-     * LLC set shards of a batch replay run (runReplay): 0 resolves
-     * to defaultShards() (NVMCACHE_SHARDS, else 1). Results are
-     * bit-identical at any value; >1 classifies the LLC's disjoint
-     * set ranges on that many threads. Capped at the tag array's
-     * set count.
+     * LLC set shards of a single-source replay run (runReplay): 0
+     * resolves to defaultShards() (NVMCACHE_SHARDS, else 1). Results
+     * are bit-identical at any value; >1 classifies the LLC's
+     * disjoint set ranges on that many threads. Capped at the tag
+     * array's set count; multi-source runs ignore it.
      */
     std::uint32_t shards = 0;
-
-    /**
-     * Drive single-source replay runs through the batch-decode
-     * kernel (runReplay's fast path). Off forces the per-access
-     * min-local-time scheduler everywhere — same results, slower;
-     * kept as the measured baseline for benches and oracle tests.
-     */
-    bool batchReplay = true;
 
     /**
      * Export per-core LLC demand/writeback counters into the run's
@@ -118,55 +110,42 @@ class System
     System(const SystemConfig &cfg, const LlcModel &llcModel);
 
     /**
-     * Run the per-thread traces to completion. Threads are assigned
-     * to cores round-robin; the usual case is one thread per core
-     * (multi-threaded suites) or a single thread (cpu2006/2017).
+     * Live run: walk every reference through the private L1/L2 and
+     * the shared levels. Threads are assigned to cores round-robin;
+     * the usual case is one thread per core (multi-threaded suites)
+     * or a single thread (cpu2006/2017).
      *
-     * Cores are interleaved in min-local-time order so shared-LLC and
-     * DRAM contention is observed in approximately global time. Each
-     * core prefetches its thread's references in batches; per-thread
-     * sources must therefore be independent of each other (true of
-     * every TraceSource in the tree), since a core may pull ahead of
-     * the globally-interleaved consumption order.
+     * Each step simulates the access of the core with the least
+     * local time (ties to the lowest index), picked from an
+     * index-min heap, so shared-LLC and DRAM contention is observed
+     * in approximately global time. Each core prefetches its
+     * thread's references in batches; per-thread sources must
+     * therefore be independent of each other (true of every
+     * TraceSource in the tree), since a core may pull ahead of the
+     * globally-interleaved consumption order. This per-access
+     * scheduler is the reference runReplay is tested against.
      */
     SimStats run(const std::vector<TraceSource *> &threads);
 
-    /**
-     * Same simulation over batched sources (e.g. RecordedTrace
-     * cursors). Produces bit-identical SimStats to the TraceSource
-     * overload for the same access sequences: both feed one scheduler
-     * that picks the min-local-time core (ties to the lowest index)
-     * via an index-min heap, O(log cores) per step.
-     */
+    /** Same live simulation over batched sources. */
     SimStats run(const std::vector<BatchSource *> &sources);
 
     /**
-     * Replay run: @p privateTrace carries the recorded private-level
-     * outcomes of exactly these sources under this system's
-     * CoreParams, so the L1/L2 walks are skipped and only the shared
-     * LLC and DRAM are simulated. Bit-identical SimStats to the other
-     * overloads (see private_trace.hh); pass nullptr for a live run.
-     */
-    SimStats run(const std::vector<BatchSource *> &sources,
-                 const PrivateTrace *privateTrace);
-
-    /**
-     * Replay run through the vectorized batch kernel (sim/replay.cc):
-     * decode SoA blocks, classify every LLC operation over
-     * cfg.shards disjoint set ranges (own tag array and fault state
-     * per shard, simulated concurrently when shards > 1), then apply
-     * timing in global access order from the precomputed decisions.
-     * Bit-identical SimStats to run(sources, privateTrace) at every
-     * shard count.
+     * Replay run (sim/replay.cc): @p privateTrace carries the
+     * recorded private-level outcomes of exactly these sources under
+     * this system's CoreParams, so the L1/L2 walks are skipped and
+     * only the shared LLC and DRAM are simulated. Bit-identical
+     * SimStats to the live run() of the same traces.
      *
-     * The kernel requires a single source with a private-level
-     * recording (the tech-sweep hot path); multi-source runs, runs
-     * without @p privateTrace, and cfg.batchReplay == false fall
-     * back to the per-access scheduler, with the fallback counted in
-     * the global "sim.replay.runs.fallback" metric.
+     * Every lane block-decodes its trace and recording, runs its
+     * private-only accesses back to back on its own core, and joins
+     * the (local cycle, core) min-heap only at its next LLC-reaching
+     * access. A single-source run with cfg.shards > 1 classifies
+     * its LLC operations over that many set shards instead. Every
+     * run feeds the global "sim.replay.*" metrics.
      */
     SimStats runReplay(const std::vector<ReplaySource *> &sources,
-                       const PrivateTrace *privateTrace);
+                       const PrivateTrace &privateTrace);
 
     const SharedLlc &llc() const { return *llc_; }
 
@@ -180,10 +159,7 @@ class System
 
     /**
      * Per-core share of the shared-LLC traffic (demand reads split
-     * into hits/misses, plus L2 writebacks reaching the LLC), counted
-     * in step()/replayStep(). The batch kernel bypasses those, but it
-     * only runs single-source — where core 0's share is the whole
-     * LlcStats — so collectStats derives that case exactly.
+     * into hits/misses, plus L2 writebacks reaching the LLC).
      */
     struct CoreLlcCounters
     {
@@ -194,16 +170,76 @@ class System
     };
     std::vector<CoreLlcCounters> coreLlc_;
 
-    /** Process one reference on @p coreIdx. */
+    /**
+     * Scheduler heap entry: a core and its local cycle. The live and
+     * replay schedulers keep active cores in a binary min-heap on
+     * (cycle, core index) — the same pick order as a linear scan
+     * taking the first strict minimum, at O(log cores) per step.
+     */
+    struct CoreKey
+    {
+        double cycle;
+        std::uint32_t core;
+
+        bool
+        operator<(const CoreKey &o) const
+        {
+            return cycle < o.cycle || (cycle == o.cycle && core < o.core);
+        }
+    };
+
+    /**
+     * Re-sink heap[0] after its key grew or it was replaced by the
+     * last entry (a core's key only grows).
+     */
+    static void
+    siftDown(std::vector<CoreKey> &heap)
+    {
+        std::size_t i = 0;
+        const std::size_t n = heap.size();
+        const CoreKey e = heap[0];
+        while (true) {
+            std::size_t child = 2 * i + 1;
+            if (child >= n)
+                break;
+            if (child + 1 < n && heap[child + 1] < heap[child])
+                ++child;
+            if (!(heap[child] < e))
+                break;
+            heap[i] = heap[child];
+            i = child;
+        }
+        heap[i] = e;
+    }
+
+    /** Process one reference on @p coreIdx (live run). */
     void step(std::uint32_t coreIdx, const MemAccess &access);
 
     /**
-     * step() with the private-level outcome replayed from @p cursor
-     * instead of simulated (same shared-level effects, same cycle
-     * arithmetic, in the same order).
+     * Shared-level half of one reference on @p coreIdx, whose issue
+     * time is already on the core's clock: the @p nwb dirty L2
+     * victims @p wb go to the LLC, then a private miss (@p outcome
+     * is a PrivateEvent value) reads @p addr from the LLC and DRAM.
      */
-    void replayStep(std::uint32_t coreIdx, const MemAccess &access,
-                    PrivateCursor &cursor);
+    void sharedStep(std::uint32_t coreIdx, AccessKind kind,
+                    std::uint64_t addr, std::uint8_t outcome,
+                    const std::uint64_t *wb, std::uint32_t nwb);
+
+    /** Accesses and SoA blocks one replay decoded. */
+    struct ReplayVolume
+    {
+        std::uint64_t accesses = 0;
+        std::uint64_t blocks = 0;
+    };
+
+    /** Lane kernel of runReplay. */
+    ReplayVolume replayLanes(const std::vector<ReplaySource *> &sources,
+                             const PrivateTrace &privateTrace);
+
+    /** Set-sharded single-source replay over @p shards > 1 shards. */
+    ReplayVolume replaySharded(ReplaySource &source,
+                               const PrivateTrace &privateTrace,
+                               std::uint32_t shards);
 
     /** Gather SimStats after all cores drained their sources. */
     SimStats collectStats(std::size_t numThreads,

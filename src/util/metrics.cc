@@ -133,8 +133,7 @@ void
 Distribution::add(double x)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    acc_.add(x);
-    ++buckets_[std::size_t(bucketOf(x))];
+    addLocked(x);
 }
 
 void

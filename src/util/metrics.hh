@@ -157,6 +157,20 @@ class Distribution : public Stat
     Distribution &operator=(const Distribution &other);
 
     void add(double x);
+
+    /**
+     * add() every element of @p values, in order, under one lock:
+     * the same state bit for bit as the element-wise adds.
+     */
+    template <typename Range>
+    void
+    addAll(const Range &values)
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        for (const auto v : values)
+            addLocked(double(v));
+    }
+
     /** Fold another distribution in (exact under Chan combination). */
     void merge(const Distribution &other);
     void merge(const DistributionSnapshot &snap);
@@ -181,6 +195,13 @@ class Distribution : public Stat
     StatValue value() const override;
 
   private:
+    void
+    addLocked(double x)
+    {
+        acc_.add(x);
+        ++buckets_[std::size_t(bucketOf(x))];
+    }
+
     mutable std::mutex mu_;
     Accumulator acc_;
     std::array<std::uint64_t, kBuckets> buckets_{};

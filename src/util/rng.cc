@@ -1,5 +1,6 @@
 #include "util/rng.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 
@@ -127,6 +128,8 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double s)
     // so plain rejection against the true pmf is valid.
     hx0_ = h(0.5);
     hn_ = h(double(n_) + 0.5);
+    if (n_ > 1 && s_ != 0.0)
+        accept_.assign(std::min(n_, kTableRanks), -1.0);
 }
 
 double
@@ -146,8 +149,18 @@ ZipfSampler::hInv(double x) const
     return std::pow(1.0 + x * (1.0 - s_), 1.0 / (1.0 - s_));
 }
 
+double
+ZipfSampler::acceptRatio(std::uint64_t k) const
+{
+    // The envelope assigns k a mass of h(k+0.5) - h(k-0.5); the true
+    // (unnormalized) pmf is k^-s. Since x^-s is convex, the envelope
+    // mass is always >= k^-s, so the ratio lies in (0, 1].
+    const double envelope = h(double(k) + 0.5) - h(double(k) - 0.5);
+    return std::pow(double(k), -s_) / envelope;
+}
+
 std::uint64_t
-ZipfSampler::operator()(Rng &rng) const
+ZipfSampler::operator()(Rng &rng)
 {
     if (n_ == 1)
         return 0;
@@ -162,12 +175,15 @@ ZipfSampler::operator()(Rng &rng) const
             k = 1;
         if (k > n_)
             k = n_;
-        // The envelope assigns k a mass of h(k+0.5) - h(k-0.5); the
-        // true (unnormalized) pmf is k^-s. Since x^-s is convex, the
-        // envelope mass is always >= k^-s, so the acceptance ratio
-        // pmf/envelope lies in (0, 1].
-        double envelope = h(double(k) + 0.5) - h(double(k) - 0.5);
-        double accept = std::pow(double(k), -s_) / envelope;
+        double accept;
+        if (k <= accept_.size()) {
+            double &slot = accept_[k - 1];
+            if (slot < 0.0)
+                slot = acceptRatio(k);
+            accept = slot;
+        } else {
+            accept = acceptRatio(k);
+        }
         if (rng.uniform() <= accept)
             return k - 1;
     }

@@ -96,8 +96,11 @@ class ZipfSampler
      */
     ZipfSampler(std::uint64_t n, double s);
 
-    /** Draw one rank in [0, n). */
-    std::uint64_t operator()(Rng &rng) const;
+    /**
+     * Draw one rank in [0, n). Not const: the first draws of each
+     * small rank fill the acceptance table.
+     */
+    std::uint64_t operator()(Rng &rng);
 
     std::uint64_t items() const { return n_; }
     double skew() const { return s_; }
@@ -105,14 +108,28 @@ class ZipfSampler
     /** Shannon entropy (bits) of the exact Zipf pmf (O(n), for tests). */
     double exactEntropyBits() const;
 
+    /** Ranks whose acceptance ratio is tabulated (32 KB of doubles). */
+    static constexpr std::uint64_t kTableRanks = 4096;
+
   private:
     double h(double x) const;
     double hInv(double x) const;
+
+    /** pmf/envelope acceptance ratio of rank @p k (1-based). */
+    double acceptRatio(std::uint64_t k) const;
 
     std::uint64_t n_;
     double s_;
     double hx0_; ///< h(0.5), left edge of the envelope support
     double hn_;  ///< h(n + 0.5), right edge
+
+    /**
+     * acceptRatio(k) at [k - 1] for k <= min(n, kTableRanks), filled
+     * on first use (negative = not yet computed; a ratio never is).
+     * Same expression, so draws are bit-identical to computing it
+     * every time, at one pow() per draw instead of four.
+     */
+    std::vector<double> accept_;
 };
 
 /**

@@ -296,6 +296,22 @@ TEST(MetricsDistribution, MergeMatchesSingleStream)
     EXPECT_EQ(merged.buckets, direct.buckets);
 }
 
+TEST(MetricsDistribution, AddAllMatchesElementwiseAdds)
+{
+    // The bulk add behind the per-set/per-line cache exports: same
+    // Welford state and buckets, bit for bit, as one add per value.
+    std::vector<std::uint32_t> values;
+    for (std::uint32_t i = 0; i < 5000; ++i)
+        values.push_back(i * 2654435761u % 100003u);
+    Distribution bulk, each;
+    bulk.add(0.5);
+    each.add(0.5);
+    bulk.addAll(values);
+    for (std::uint32_t v : values)
+        each.add(double(v));
+    EXPECT_TRUE(bulk.snapshot() == each.snapshot());
+}
+
 TEST(MetricsDistribution, ConcurrentAddsLoseNothing)
 {
     MetricsRegistry reg;

@@ -1,15 +1,17 @@
 /**
  * @file
- * Tests of the vectorized batch-replay kernel and set-sharded LLC
- * classification (sim/replay.cc): bit-identity against the per-access
- * scheduler at every shard count, with and without fault injection,
- * across write-timing policies, through the experiment engine's
- * (shards x jobs) matrix, and the multi-source fallback.
+ * Tests of the replay kernels (sim/replay.cc): the lane kernel against
+ * a live System::run (real L1/L2 walks, per-access scheduling) at 1,
+ * 2, 4 and 8 lanes — with unequal lanes, fault injection, every
+ * write-timing policy and per-core LLC counters — and the set-sharded
+ * single-lane replay at every shard count, through the experiment
+ * engine's (shards x jobs) matrix.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/study.hh"
@@ -61,22 +63,36 @@ expectSimStatsIdentical(const SimStats &a, const SimStats &b)
     EXPECT_TRUE(a.detail == b.detail);
 }
 
-/** Shared per-suite recording: trace + private outcomes. */
+/**
+ * Replay lanes with their private-level recording. Lane i is the i-th
+ * thread across @p traces in order, so lanes may come from different
+ * recordings (of different lengths).
+ */
 struct Recording
 {
-    std::shared_ptr<const RecordedTrace> trace;
+    std::vector<std::shared_ptr<const RecordedTrace>> traces;
     std::shared_ptr<const PrivateTrace> priv;
+
+    std::vector<TraceCursor>
+    cursors() const
+    {
+        std::vector<TraceCursor> out;
+        for (const auto &t : traces)
+            for (const TraceCursor &c : t->cursors())
+                out.push_back(c);
+        return out;
+    }
+
+    std::uint32_t lanes() const { return priv->threads(); }
 };
 
 Recording
-makeRecording(const BenchmarkSpec &spec, const SystemConfig &base,
-              std::uint32_t threads = 0)
+recordLanes(std::vector<std::shared_ptr<const RecordedTrace>> traces,
+            const SystemConfig &base)
 {
     Recording r;
-    if (threads == 0)
-        threads = spec.defaultThreads;
-    r.trace = RecordedTrace::record(spec.gen, threads);
-    auto cursors = r.trace->cursors();
+    r.traces = std::move(traces);
+    auto cursors = r.cursors();
     std::vector<BatchSource *> srcs;
     for (TraceCursor &c : cursors)
         srcs.push_back(&c);
@@ -84,24 +100,47 @@ makeRecording(const BenchmarkSpec &spec, const SystemConfig &base,
     return r;
 }
 
-/**
- * One replay run through System::runReplay with the given knobs.
- * batch == false forces the per-access scheduler (the oracle).
- */
+Recording
+makeRecording(const BenchmarkSpec &spec, const SystemConfig &base,
+              std::uint32_t threads = 0)
+{
+    if (threads == 0)
+        threads = spec.defaultThreads;
+    return recordLanes({RecordedTrace::record(spec.gen, threads)}, base);
+}
+
+/** One replay run through System::runReplay at @p shards. */
 SimStats
 runReplay(const Recording &rec, const SystemConfig &base,
-          const LlcModel &llc, std::uint32_t shards, bool batch)
+          const LlcModel &llc, std::uint32_t shards = 1)
 {
     SystemConfig cfg = base;
-    cfg.numCores = rec.trace->threads();
+    cfg.numCores = rec.lanes();
     cfg.shards = shards;
-    cfg.batchReplay = batch;
     System system(cfg, llc);
-    auto cursors = rec.trace->cursors();
+    auto cursors = rec.cursors();
     std::vector<ReplaySource *> ptrs;
     for (TraceCursor &c : cursors)
         ptrs.push_back(&c);
-    return system.runReplay(ptrs, rec.priv.get());
+    return system.runReplay(ptrs, *rec.priv);
+}
+
+/**
+ * The oracle: a live run of the same lanes, walking the private
+ * levels access by access under the per-access scheduler.
+ */
+SimStats
+runLive(const Recording &rec, const SystemConfig &base,
+        const LlcModel &llc)
+{
+    SystemConfig cfg = base;
+    cfg.numCores = rec.lanes();
+    System system(cfg, llc);
+    auto cursors = rec.cursors();
+    std::vector<BatchSource *> ptrs;
+    for (TraceCursor &c : cursors)
+        ptrs.push_back(&c);
+    return system.run(ptrs);
 }
 
 double
@@ -119,22 +158,6 @@ detailScalar(const SimStats &s, const std::string &path)
 
 } // namespace
 
-TEST(ShardedReplay, KernelMatchesLegacyScheduler)
-{
-    // The batch kernel against the per-access min-local-time
-    // scheduler on the same recording: every SimStats field,
-    // including the full detail tree, bit for bit.
-    const BenchmarkSpec spec = trimmed("tonto", 120'000);
-    const SystemConfig base;
-    const Recording rec = makeRecording(spec, base);
-    const LlcModel &jan =
-        publishedLlcModel("Jan", CapacityMode::FixedCapacity);
-
-    const SimStats legacy = runReplay(rec, base, jan, 1, false);
-    const SimStats kernel = runReplay(rec, base, jan, 1, true);
-    expectSimStatsIdentical(legacy, kernel);
-}
-
 TEST(ShardedReplay, BitIdenticalAcrossShardCounts)
 {
     // Shard counts that divide the set count evenly, unevenly (7),
@@ -145,10 +168,9 @@ TEST(ShardedReplay, BitIdenticalAcrossShardCounts)
     const LlcModel &jan =
         publishedLlcModel("Jan", CapacityMode::FixedCapacity);
 
-    const SimStats serial = runReplay(rec, base, jan, 1, true);
+    const SimStats serial = runReplay(rec, base, jan, 1);
     for (std::uint32_t shards : {2u, 4u, 7u}) {
-        const SimStats sharded =
-            runReplay(rec, base, jan, shards, true);
+        const SimStats sharded = runReplay(rec, base, jan, shards);
         SCOPED_TRACE("shards=" + std::to_string(shards));
         expectSimStatsIdentical(serial, sharded);
     }
@@ -169,14 +191,13 @@ TEST(ShardedReplay, FaultSweepBitIdentical)
     const LlcModel &jan =
         publishedLlcModel("Jan", CapacityMode::FixedCapacity);
 
-    const SimStats legacy = runReplay(rec, base, jan, 1, false);
-    ASSERT_GT(detailScalar(legacy, "sim.llc.faults.writeRetries"),
+    const SimStats live = runLive(rec, base, jan);
+    ASSERT_GT(detailScalar(live, "sim.llc.faults.writeRetries"),
               0.0); // the config actually injects
     for (std::uint32_t shards : {1u, 4u, 7u}) {
-        const SimStats sharded =
-            runReplay(rec, base, jan, shards, true);
+        const SimStats sharded = runReplay(rec, base, jan, shards);
         SCOPED_TRACE("shards=" + std::to_string(shards));
-        expectSimStatsIdentical(legacy, sharded);
+        expectSimStatsIdentical(live, sharded);
     }
 }
 
@@ -185,7 +206,8 @@ TEST(ShardedReplay, WritePoliciesAndBypassBitIdentical)
     // The non-default write-timing policies exercise accountWrite's
     // order-sensitive bank state, and bypassWritebackMiss exercises
     // the probe-miss forwarding path; all of it lives in the timing
-    // pass, so sharded classification must not perturb any of it.
+    // pass, so neither the lane kernel nor sharded classification
+    // may perturb any of it.
     const BenchmarkSpec spec = trimmed("lbm", 80'000);
     const LlcModel &jan =
         publishedLlcModel("Jan", CapacityMode::FixedCapacity);
@@ -197,9 +219,12 @@ TEST(ShardedReplay, WritePoliciesAndBypassBitIdentical)
 
     for (const SystemConfig &base : variants) {
         const Recording rec = makeRecording(spec, base);
-        const SimStats legacy = runReplay(rec, base, jan, 1, false);
-        const SimStats sharded = runReplay(rec, base, jan, 4, true);
-        expectSimStatsIdentical(legacy, sharded);
+        const SimStats live = runLive(rec, base, jan);
+        for (std::uint32_t shards : {1u, 4u}) {
+            SCOPED_TRACE("shards=" + std::to_string(shards));
+            expectSimStatsIdentical(live,
+                                    runReplay(rec, base, jan, shards));
+        }
     }
 }
 
@@ -214,40 +239,9 @@ TEST(ShardedReplay, OvershardingClampsToSetCountAndMatches)
     const LlcModel &jan =
         publishedLlcModel("Jan", CapacityMode::FixedCapacity);
 
-    const SimStats serial = runReplay(rec, base, jan, 1, true);
-    const SimStats sharded =
-        runReplay(rec, base, jan, 1u << 30, true);
+    const SimStats serial = runReplay(rec, base, jan, 1);
+    const SimStats sharded = runReplay(rec, base, jan, 1u << 30);
     expectSimStatsIdentical(serial, sharded);
-}
-
-TEST(ShardedReplay, MultiThreadTraceFallsBack)
-{
-    // A multi-source replay interleaves cores by local time, which
-    // the kernel cannot precompute; runReplay must route it through
-    // the legacy scheduler (counting the fallback) with identical
-    // results.
-    const BenchmarkSpec spec = trimmed("vips", 120'000);
-    const SystemConfig base;
-    const Recording rec = makeRecording(spec, base);
-    ASSERT_GT(rec.trace->threads(), 1u);
-    const LlcModel &jan =
-        publishedLlcModel("Jan", CapacityMode::FixedCapacity);
-
-    SystemConfig cfg = base;
-    cfg.numCores = rec.trace->threads();
-    System direct(cfg, jan);
-    auto directCursors = rec.trace->cursors();
-    std::vector<BatchSource *> batch;
-    for (TraceCursor &c : directCursors)
-        batch.push_back(&c);
-    const SimStats viaRun = direct.run(batch, rec.priv.get());
-
-    const double fallbackBefore =
-        globalCounter("sim.replay.runs.fallback");
-    const SimStats viaReplay = runReplay(rec, base, jan, 4, true);
-    EXPECT_EQ(globalCounter("sim.replay.runs.fallback"),
-              fallbackBefore + 1.0);
-    expectSimStatsIdentical(viaRun, viaReplay);
 }
 
 TEST(ShardedReplay, RunnerMatrixShardsJobsBitIdentical)
@@ -326,4 +320,199 @@ TEST(ShardedReplay, ReliabilityStudyShardsInvariant)
     }
     EXPECT_TRUE(sawFaults);
     EXPECT_TRUE(aggregateSimStats(a) == aggregateSimStats(b));
+}
+
+TEST(LaneReplay, MatchesLiveRunAtEveryLaneCount)
+{
+    // The lane kernel against the live per-access scheduler on the
+    // same multi-threaded workload at 1, 2, 4 and 8 lanes: every
+    // SimStats field, including the full detail tree, bit for bit.
+    const BenchmarkSpec spec = trimmed("vips", 160'000);
+    const SystemConfig base;
+    const LlcModel &jan =
+        publishedLlcModel("Jan", CapacityMode::FixedCapacity);
+    for (std::uint32_t lanes : {1u, 2u, 4u, 8u}) {
+        SCOPED_TRACE("lanes=" + std::to_string(lanes));
+        const Recording rec = makeRecording(spec, base, lanes);
+        ASSERT_EQ(rec.lanes(), lanes);
+        expectSimStatsIdentical(runLive(rec, base, jan),
+                                runReplay(rec, base, jan));
+    }
+}
+
+TEST(LaneReplay, UnequalLanesMatchLiveRun)
+{
+    // Lanes of very different lengths and traffic drain at different
+    // times, so the heap retires lanes while others still contend.
+    const SystemConfig base;
+    std::vector<std::shared_ptr<const RecordedTrace>> traces;
+    for (const char *name : {"lbm", "tonto", "milc", "gobmk"}) {
+        BenchmarkSpec spec = trimmed(name, 10'000 + 25'000 *
+                                               traces.size());
+        traces.push_back(RecordedTrace::record(spec.gen, 1));
+    }
+    const Recording rec = recordLanes(std::move(traces), base);
+    ASSERT_EQ(rec.lanes(), 4u);
+    const LlcModel &jan =
+        publishedLlcModel("Jan", CapacityMode::FixedCapacity);
+    const SimStats live = runLive(rec, base, jan);
+    EXPECT_LT(live.coreCycles.front(), live.coreCycles.back());
+    expectSimStatsIdentical(live, runReplay(rec, base, jan));
+}
+
+TEST(LaneReplay, FaultInjectionMatchesLiveRun)
+{
+    const BenchmarkSpec spec = trimmed("ft", 120'000);
+    SystemConfig base;
+    base.llc.faults.enabled = true;
+    base.llc.faults.berScale = 64.0;
+    base.llc.faults.wearScale = 1e6;
+    const LlcModel &jan =
+        publishedLlcModel("Jan", CapacityMode::FixedCapacity);
+    for (std::uint32_t lanes : {2u, 4u}) {
+        SCOPED_TRACE("lanes=" + std::to_string(lanes));
+        const Recording rec = makeRecording(spec, base, lanes);
+        const SimStats live = runLive(rec, base, jan);
+        ASSERT_GT(detailScalar(live, "sim.llc.faults.writeRetries"),
+                  0.0); // the config actually injects
+        expectSimStatsIdentical(live, runReplay(rec, base, jan));
+    }
+}
+
+TEST(LaneReplay, WritePoliciesAndBypassMatchLiveRun)
+{
+    const BenchmarkSpec spec = trimmed("vips", 100'000);
+    const LlcModel &jan =
+        publishedLlcModel("Jan", CapacityMode::FixedCapacity);
+
+    SystemConfig variants[3];
+    variants[0].llc.writePolicy = WritePolicy::BankContention;
+    variants[1].llc.writePolicy = WritePolicy::Blocking;
+    variants[2].llc.bypassWritebackMiss = true;
+
+    for (const SystemConfig &base : variants) {
+        const Recording rec = makeRecording(spec, base, 4);
+        expectSimStatsIdentical(runLive(rec, base, jan),
+                                runReplay(rec, base, jan));
+    }
+}
+
+TEST(LaneReplay, PerCoreLlcStatsSumToGlobalCounters)
+{
+    // The sim.tenant<i>.* split: identical to the live run's, and the
+    // tenants add up to the global LLC counters — at one lane (lane
+    // kernel and sharded) as well as at four.
+    const BenchmarkSpec spec = trimmed("vips", 100'000);
+    SystemConfig base;
+    base.perCoreLlcStats = true;
+    const LlcModel &jan =
+        publishedLlcModel("Jan", CapacityMode::FixedCapacity);
+    for (std::uint32_t lanes : {1u, 4u}) {
+        const Recording rec = makeRecording(spec, base, lanes);
+        const SimStats live = runLive(rec, base, jan);
+        for (std::uint32_t shards : {1u, 4u}) {
+            if (shards > 1 && lanes > 1)
+                continue;
+            SCOPED_TRACE("lanes=" + std::to_string(lanes) +
+                         " shards=" + std::to_string(shards));
+            const SimStats got = runReplay(rec, base, jan, shards);
+            expectSimStatsIdentical(live, got);
+            double reads = 0, hits = 0, misses = 0, wbs = 0;
+            for (std::uint32_t i = 0; i < lanes; ++i) {
+                const std::string t =
+                    "sim.tenant" + std::to_string(i) + ".llc.";
+                reads += detailScalar(got, t + "demandReads");
+                hits += detailScalar(got, t + "demandHits");
+                misses += detailScalar(got, t + "demandMisses");
+                wbs += detailScalar(got, t + "writebacks");
+            }
+            EXPECT_GT(reads, 0.0);
+            EXPECT_EQ(reads, double(got.llc.demandReads));
+            EXPECT_EQ(hits, double(got.llc.demandHits));
+            EXPECT_EQ(misses, double(got.llc.demandMisses));
+            EXPECT_EQ(wbs, double(got.llc.writebacksIn));
+        }
+    }
+}
+
+TEST(LaneReplay, CountsEveryRunByLaneCount)
+{
+    // Single- and multi-source replays alike feed the global replay
+    // throughput counters, with runs split by lane count.
+    const BenchmarkSpec spec = trimmed("vips", 40'000);
+    const SystemConfig base;
+    const LlcModel &jan =
+        publishedLlcModel("Jan", CapacityMode::FixedCapacity);
+    for (std::uint32_t lanes : {1u, 4u}) {
+        const Recording rec = makeRecording(spec, base, lanes);
+        const std::string runs =
+            "sim.replay.runs.lanes" + std::to_string(lanes);
+        const double runsBefore = globalCounter(runs);
+        const double accessesBefore =
+            globalCounter("sim.replay.accesses");
+        runReplay(rec, base, jan);
+        EXPECT_EQ(globalCounter(runs), runsBefore + 1.0);
+        EXPECT_EQ(globalCounter("sim.replay.accesses"),
+                  accessesBefore + 40'000.0);
+        EXPECT_GT(MetricsRegistry::global()
+                      .gauge("sim.replay.accessesPerSecond")
+                      .get(),
+                  0.0);
+    }
+}
+
+TEST(LaneReplayDeathTest, MoreLanesThanCoresIsFatal)
+{
+    const Recording rec =
+        makeRecording(trimmed("vips", 8'000), SystemConfig(), 4);
+    SystemConfig cfg;
+    cfg.numCores = 2;
+    System system(cfg, publishedLlcModel("Jan",
+                                         CapacityMode::FixedCapacity));
+    auto cursors = rec.cursors();
+    std::vector<ReplaySource *> ptrs;
+    for (TraceCursor &c : cursors)
+        ptrs.push_back(&c);
+    EXPECT_DEATH(system.runReplay(ptrs, *rec.priv), "more threads");
+}
+
+TEST(LaneReplayDeathTest, LaneCountMismatchIsFatal)
+{
+    // A recording of two lanes cannot drive four sources.
+    const SystemConfig base;
+    const Recording four =
+        makeRecording(trimmed("vips", 8'000), base, 4);
+    const Recording two =
+        makeRecording(trimmed("vips", 8'000), base, 2);
+    SystemConfig cfg;
+    cfg.numCores = 4;
+    System system(cfg, publishedLlcModel("Jan",
+                                         CapacityMode::FixedCapacity));
+    auto cursors = four.cursors();
+    std::vector<ReplaySource *> ptrs;
+    for (TraceCursor &c : cursors)
+        ptrs.push_back(&c);
+    EXPECT_DEATH(system.runReplay(ptrs, *two.priv), "2 lanes for 4");
+}
+
+TEST(LaneReplay, RunnerJobsBitIdenticalOnMultiThreadedWorkload)
+{
+    // Through the experiment engine: a multi-threaded tech sweep at
+    // jobs 1 and 8 must agree bit for bit.
+    const BenchmarkSpec spec = trimmed("vips", 60'000);
+    TechSweep sweeps[2];
+    const unsigned jobs[2] = {1u, 8u};
+    for (int k = 0; k < 2; ++k) {
+        ExperimentRunner runner;
+        runner.setJobs(jobs[k]);
+        sweeps[k] = runner.sweepTechs(spec, CapacityMode::FixedCapacity, 4);
+    }
+    ASSERT_EQ(sweeps[0].results.size(), sweeps[1].results.size());
+    for (std::size_t i = 0; i < sweeps[0].results.size(); ++i) {
+        SCOPED_TRACE(sweeps[0].results[i].tech);
+        EXPECT_EQ(sweeps[0].results[i].speedup,
+                  sweeps[1].results[i].speedup);
+        expectSimStatsIdentical(sweeps[0].results[i].stats,
+                                sweeps[1].results[i].stats);
+    }
 }

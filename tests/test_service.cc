@@ -519,6 +519,39 @@ TEST(Service, PingStudiesAndMetricsOps)
     server.wait();
 }
 
+TEST(Service, UnknownCoreSweepWorkloadIsAnErrorNotACrash)
+{
+    // A core-sweep naming an unknown workload spec used to reach a
+    // fatal lookup and take the daemon down; it must fail as a
+    // parameter error, and the daemon must go on serving.
+    ServeConfig cfg;
+    cfg.socketPath = socketPathFor("badsweep");
+    cfg.execThreads = 1;
+    EvalServer server(cfg);
+    server.start();
+    {
+        ServiceClient client(cfg.socketPath);
+        const JsonValue bad = client.request(JsonValue::parse(
+            "{\"op\":\"run\",\"study\":\"core-sweep\",\"params\":"
+            "{\"workloads\":\"ft,no-such-workload\",\"techs\":\"Jan\","
+            "\"cores\":\"1\"}}"));
+        EXPECT_FALSE(bad.at("ok").asBool());
+        EXPECT_NE(bad.at("error").asString().find("no-such-workload"),
+                  std::string::npos)
+            << bad.dump();
+
+        const JsonValue good = client.request(JsonValue::parse(
+            "{\"op\":\"run\",\"study\":\"core-sweep\",\"params\":"
+            "{\"workloads\":\"tenants:ops=40K\",\"techs\":\"Jan\","
+            "\"cores\":\"1,2\"}}"));
+        ASSERT_TRUE(good.at("ok").asBool()) << good.dump();
+        EXPECT_FALSE(good.at("result").at("points").items.empty());
+        EXPECT_TRUE(client.ping());
+    }
+    server.requestStop();
+    server.wait();
+}
+
 TEST(Service, WarmRepeatIsMemoizedAndByteIdentical)
 {
     const StudyRequest req = compareRequest("0.02");

@@ -11,6 +11,7 @@
 #include <memory>
 #include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "util/rng.hh"
@@ -171,6 +172,84 @@ TEST(Zipf, HigherSkewLowersEntropy)
 {
     ZipfSampler a(1024, 0.4), b(1024, 1.2);
     EXPECT_GT(a.exactEntropyBits(), b.exactEntropyBits());
+}
+
+/**
+ * The untabulated rejection-inversion sampler, kept verbatim as the
+ * oracle for ZipfSampler's acceptance table: four pow() per draw.
+ */
+class UntabulatedZipf
+{
+  public:
+    UntabulatedZipf(std::uint64_t n, double s)
+        : n_(n), s_(s), hx0_(h(0.5)), hn_(h(double(n) + 0.5))
+    {
+    }
+
+    std::uint64_t
+    operator()(Rng &rng) const
+    {
+        if (n_ == 1)
+            return 0;
+        if (s_ == 0.0)
+            return rng.below(n_);
+        for (;;) {
+            double u = hx0_ + rng.uniform() * (hn_ - hx0_);
+            double x = hInv(u);
+            std::uint64_t k = std::uint64_t(x + 0.5);
+            if (k < 1)
+                k = 1;
+            if (k > n_)
+                k = n_;
+            double envelope = h(double(k) + 0.5) - h(double(k) - 0.5);
+            double accept = std::pow(double(k), -s_) / envelope;
+            if (rng.uniform() <= accept)
+                return k - 1;
+        }
+    }
+
+  private:
+    double
+    h(double x) const
+    {
+        if (s_ == 1.0)
+            return std::log(x);
+        return (std::pow(x, 1.0 - s_) - 1.0) / (1.0 - s_);
+    }
+
+    double
+    hInv(double x) const
+    {
+        if (s_ == 1.0)
+            return std::exp(x);
+        return std::pow(1.0 + x * (1.0 - s_), 1.0 / (1.0 - s_));
+    }
+
+    std::uint64_t n_;
+    double s_;
+    double hx0_;
+    double hn_;
+};
+
+TEST(Zipf, TabulatedDrawsMatchUntabulatedFormula)
+{
+    // Same seed, same ranks, draw for draw — below, at and just above
+    // the table's rank limit, where draws mix tabulated and computed
+    // ratios — and the generators end in the same state.
+    const std::uint64_t t = ZipfSampler::kTableRanks;
+    for (double s : {0.0, 0.5, 0.85, 0.99, 1.0, 1.5}) {
+        for (std::uint64_t n : {std::uint64_t(1), std::uint64_t(1000), t,
+                                t + 1, t + 7}) {
+            SCOPED_TRACE("s=" + std::to_string(s) +
+                         " n=" + std::to_string(n));
+            ZipfSampler zipf(n, s);
+            const UntabulatedZipf oracle(n, s);
+            Rng a(1000 + n), b(1000 + n);
+            for (int i = 0; i < 100'000; ++i)
+                ASSERT_EQ(zipf(a), oracle(b)) << "draw " << i;
+            EXPECT_EQ(a(), b());
+        }
+    }
 }
 
 // --- DiscreteSampler ---------------------------------------------------
