@@ -180,14 +180,12 @@ BM_ReplayTrace(benchmark::State &state)
 {
     // Full LLC+DRAM replay of a recorded trace through
     // System::runReplay. arg1 = lanes (threads of the recording, one
-    // core each; 4 exercises the lane heap), arg2 = LLC set shards
-    // (single-lane runs only). The recording is built once; each
-    // iteration replays it through a fresh System.
+    // core each; 4 exercises the lane heap). The recording is built
+    // once; each iteration replays it through a fresh System.
     const std::uint64_t accesses = std::uint64_t(state.range(0));
     const std::uint32_t lanes = std::uint32_t(state.range(1));
     SystemConfig cfg;
     cfg.numCores = lanes;
-    cfg.shards = std::uint32_t(state.range(2));
     auto trace = RecordedTrace::record(microConfig(accesses), lanes);
     auto cursors = trace->cursors();
     std::vector<BatchSource *> srcs;
@@ -213,9 +211,8 @@ BM_ReplayTrace(benchmark::State &state)
         reg.gauge("sim.replay.blockFillRatio").get();
 }
 BENCHMARK(BM_ReplayTrace)
-    ->Args({200'000, 1, 1})
-    ->Args({200'000, 1, 4})
-    ->Args({200'000, 4, 1})
+    ->Args({200'000, 1})
+    ->Args({200'000, 4})
     ->Unit(benchmark::kMillisecond);
 
 static void
@@ -225,11 +222,9 @@ BM_TechSweep(benchmark::State &state)
     // experiment engine: this is the figure-level cost the record-
     // once/replay-many stores exist to cut. A fresh runner per
     // iteration makes every iteration pay one trace record, one
-    // private-level record, and eleven replays. arg1 = jobs, arg2 =
-    // LLC set shards of each (single-lane) replay.
+    // private-level record, and eleven replays. arg1 = jobs.
     const std::uint64_t accesses = std::uint64_t(state.range(0));
     const unsigned jobs = unsigned(state.range(1));
-    const unsigned shards = unsigned(state.range(2));
     BenchmarkSpec spec;
     spec.name = "microzipf";
     spec.gen = microConfig(accesses);
@@ -237,7 +232,6 @@ BM_TechSweep(benchmark::State &state)
     for (auto _ : state) {
         ExperimentRunner runner;
         runner.setJobs(jobs);
-        runner.setShards(shards);
         TechSweep sweep =
             runner.sweepTechs(spec, CapacityMode::FixedCapacity);
         benchmark::DoNotOptimize(sweep);
@@ -249,9 +243,8 @@ BM_TechSweep(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * accesses);
 }
 BENCHMARK(BM_TechSweep)
-    ->Args({200'000, 1, 1})
-    ->Args({200'000, 1, 4})
-    ->Args({200'000, 4, 1})
+    ->Args({200'000, 1})
+    ->Args({200'000, 4})
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -29,8 +29,11 @@ main()
 
     std::printf("characterizing the AI workloads "
                 "(deepsjeng, leela, exchange2)...\n");
-    CorrelationStudy study = runCorrelationStudy(
-        true, techs, {CapacityMode::FixedArea}, runner);
+    CorrelationConfig cfg;
+    cfg.aiOnly = true;
+    cfg.techs = techs;
+    cfg.modes = {CapacityMode::FixedArea};
+    CorrelationStudy study = runCorrelationStudy(cfg, runner);
 
     for (std::size_t i = 0; i < study.workloads.size(); ++i) {
         const WorkloadFeatures &f = study.features[i];

@@ -172,16 +172,6 @@ class ExperimentRunner
     void setJobs(unsigned jobs);
     unsigned jobs() const { return jobs_; }
 
-    /**
-     * LLC set shards of each single-source simulation run
-     * (intra-run threading of the replay; see SystemConfig::shards).
-     * Defaults to defaultShards() (NVMCACHE_SHARDS env var, else 1);
-     * @p shards 0 restores that default. Results are bit-identical
-     * at any value, so the knob never enters the memo key.
-     */
-    void setShards(unsigned shards);
-    unsigned shards() const { return shards_; }
-
     /** Counters since construction (shared by copies). */
     RunnerStats runnerStats() const;
 
@@ -194,7 +184,6 @@ class ExperimentRunner
 
     SystemConfig base_;
     unsigned jobs_;
-    unsigned shards_;
     std::shared_ptr<Memo> memo_; ///< shared so copies reuse runs
 
     /**

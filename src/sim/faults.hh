@@ -158,24 +158,11 @@ class FaultInjector
         bool retired() const { return eccRetired || wearRetired; }
     };
 
-    /** Run verify-retry + wear accounting for a write to @p line. */
-    WriteOutcome onArrayWrite(std::uint64_t line);
-
     /**
-     * The deterministic half of onArrayWrite: draws, event counters
-     * and wear, but not the retries-per-write histogram. The sharded
-     * replay engine classifies on per-shard injectors and adds the
-     * histogram sample later in global order via noteRetries(), so
-     * the histogram's (order-sensitive) accumulator state matches a
-     * serial run bit for bit.
+     * Run verify-retry + wear accounting for a write to @p line and
+     * record its retry count in the retries-per-write histogram.
      */
-    WriteOutcome classifyArrayWrite(std::uint64_t line);
-
-    /** Record one write's retry count in the histogram. */
-    void noteRetries(std::uint32_t retries)
-    {
-        retriesDist_.add(double(retries));
-    }
+    WriteOutcome onArrayWrite(std::uint64_t line);
 
     /** Verdict of the retention/read-disturb model on one read. */
     struct ReadOutcome
@@ -209,18 +196,6 @@ class FaultInjector
 
     /** Accumulated wear of @p line (for tests/inspection). */
     double lineWear(std::uint64_t line) const { return wear_[line]; }
-
-    /**
-     * Fold a set-shard's classification state back in: copy the
-     * per-line draw counters and wear of lines [@p lineBegin,
-     * @p lineEnd) — which only @p shard touched — and sum the event
-     * counters. The shard never ticks, never notes retries, and
-     * never reaches the cost-accounting fields (retryCycles,
-     * scrubCycles stay 0 there), so this injector's histogram and
-     * capacity samples remain the sole, serially-ordered copies.
-     */
-    void absorbShard(const FaultInjector &shard,
-                     std::uint64_t lineBegin, std::uint64_t lineEnd);
 
     /**
      * Publish counters, the retries-per-write histogram, and the

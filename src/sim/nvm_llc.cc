@@ -119,7 +119,6 @@ SharedLlc::finishArrayWrite(const LlcDecision &d)
         st.scrubCycles += cfg_.faults.scrubCycles;
         stats_.writeEnergy += model_.eWrite;
     }
-    injector_->noteRetries(d.retries);
     return extra;
 }
 
@@ -169,7 +168,7 @@ SharedLlc::classifyRead(std::uint64_t addr)
     ++stats_.fills;
     if (injector_) {
         const FaultInjector::WriteOutcome wo =
-            injector_->classifyArrayWrite(res.lineIndex);
+            injector_->onArrayWrite(res.lineIndex);
         d.retries = std::uint8_t(wo.retries);
         d.writeScrubbed = wo.scrubbed;
         if (wo.retired()) {
@@ -274,7 +273,7 @@ SharedLlc::classifyWriteback(std::uint64_t addr)
 
     if (injector_) {
         const FaultInjector::WriteOutcome wo =
-            injector_->classifyArrayWrite(res.lineIndex);
+            injector_->onArrayWrite(res.lineIndex);
         d.retries = std::uint8_t(wo.retries);
         d.writeScrubbed = wo.scrubbed;
         if (wo.retired()) {
@@ -389,25 +388,6 @@ SharedLlc::traceSimFinal(std::uint64_t now)
 {
     if (simChan_)
         simChannelSample(now);
-}
-
-void
-SharedLlc::absorbShard(const SharedLlc &shard, std::uint64_t setBegin,
-                       std::uint64_t setEnd)
-{
-    tags_.absorbShard(shard.tags_, setBegin, setEnd);
-    stats_.demandReads += shard.stats_.demandReads;
-    stats_.demandHits += shard.stats_.demandHits;
-    stats_.demandMisses += shard.stats_.demandMisses;
-    stats_.fills += shard.stats_.fills;
-    stats_.writebacksIn += shard.stats_.writebacksIn;
-    stats_.dirtyEvictions += shard.stats_.dirtyEvictions;
-    stats_.writeBypasses += shard.stats_.writeBypasses;
-    if (injector_)
-        injector_->absorbShard(
-            *shard.injector_,
-            setBegin * cfg_.associativity,
-            setEnd * cfg_.associativity);
 }
 
 double

@@ -33,15 +33,6 @@ struct SystemConfig
     DramConfig dram;
 
     /**
-     * LLC set shards of a single-source replay run (runReplay): 0
-     * resolves to defaultShards() (NVMCACHE_SHARDS, else 1). Results
-     * are bit-identical at any value; >1 classifies the LLC's
-     * disjoint set ranges on that many threads. Capped at the tag
-     * array's set count; multi-source runs ignore it.
-     */
-    std::uint32_t shards = 0;
-
-    /**
      * Export per-core LLC demand/writeback counters into the run's
      * stats detail under "sim.tenant<i>." (multi-tenant workloads:
      * core i runs tenant i's thread). Off by default so existing
@@ -140,9 +131,7 @@ class System
      * Every lane block-decodes its trace and recording, runs its
      * private-only accesses back to back on its own core, and joins
      * the (local cycle, core) min-heap only at its next LLC-reaching
-     * access. A single-source run with cfg.shards > 1 classifies
-     * its LLC operations over that many set shards instead. Every
-     * run feeds the global "sim.replay.*" metrics.
+     * access. Every run feeds the global "sim.replay.*" metrics.
      */
     SimStats runReplay(const std::vector<ReplaySource *> &sources,
                        const PrivateTrace &privateTrace);
@@ -235,11 +224,6 @@ class System
     /** Lane kernel of runReplay. */
     ReplayVolume replayLanes(const std::vector<ReplaySource *> &sources,
                              const PrivateTrace &privateTrace);
-
-    /** Set-sharded single-source replay over @p shards > 1 shards. */
-    ReplayVolume replaySharded(ReplaySource &source,
-                               const PrivateTrace &privateTrace,
-                               std::uint32_t shards);
 
     /** Gather SimStats after all cores drained their sources. */
     SimStats collectStats(std::size_t numThreads,

@@ -579,13 +579,14 @@ TEST(MetricsDeterminism, FigureStudyDetailAgreesAcrossJobCounts)
     // cannot contaminate this comparison.
     ExperimentRunner serial;
     serial.setJobs(1);
-    const StatsSnapshot a = aggregateSimStats(
-        runFigureStudy(CapacityMode::FixedCapacity, serial, 0.01));
+    const StatsSnapshot a = aggregateSimStats(runFigureStudy(
+        {.mode = CapacityMode::FixedCapacity, .traceScale = 0.01}, serial));
 
     ExperimentRunner parallel;
     parallel.setJobs(parallelJobs());
-    const StatsSnapshot b = aggregateSimStats(
-        runFigureStudy(CapacityMode::FixedCapacity, parallel, 0.01));
+    const StatsSnapshot b = aggregateSimStats(runFigureStudy(
+        {.mode = CapacityMode::FixedCapacity, .traceScale = 0.01},
+        parallel));
 
     ASSERT_FALSE(a.empty());
     ASSERT_EQ(a.entries.size(), b.entries.size());

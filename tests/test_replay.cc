@@ -1,11 +1,10 @@
 /**
  * @file
- * Tests of the replay kernels (sim/replay.cc): the lane kernel against
+ * Tests of the replay kernel (sim/replay.cc): the lane kernel against
  * a live System::run (real L1/L2 walks, per-access scheduling) at 1,
  * 2, 4 and 8 lanes — with unequal lanes, fault injection, every
- * write-timing policy and per-core LLC counters — and the set-sharded
- * single-lane replay at every shard count, through the experiment
- * engine's (shards x jobs) matrix.
+ * write-timing policy and per-core LLC counters — and through the
+ * experiment engine at 1 and 8 jobs.
  */
 
 #include <gtest/gtest.h>
@@ -109,14 +108,13 @@ makeRecording(const BenchmarkSpec &spec, const SystemConfig &base,
     return recordLanes({RecordedTrace::record(spec.gen, threads)}, base);
 }
 
-/** One replay run through System::runReplay at @p shards. */
+/** One replay run through System::runReplay. */
 SimStats
 runReplay(const Recording &rec, const SystemConfig &base,
-          const LlcModel &llc, std::uint32_t shards = 1)
+          const LlcModel &llc)
 {
     SystemConfig cfg = base;
     cfg.numCores = rec.lanes();
-    cfg.shards = shards;
     System system(cfg, llc);
     auto cursors = rec.cursors();
     std::vector<ReplaySource *> ptrs;
@@ -158,29 +156,11 @@ detailScalar(const SimStats &s, const std::string &path)
 
 } // namespace
 
-TEST(ShardedReplay, BitIdenticalAcrossShardCounts)
-{
-    // Shard counts that divide the set count evenly, unevenly (7),
-    // and degenerately (1) must all merge back to the serial state.
-    const BenchmarkSpec spec = trimmed("tonto", 120'000);
-    const SystemConfig base;
-    const Recording rec = makeRecording(spec, base);
-    const LlcModel &jan =
-        publishedLlcModel("Jan", CapacityMode::FixedCapacity);
-
-    const SimStats serial = runReplay(rec, base, jan, 1);
-    for (std::uint32_t shards : {2u, 4u, 7u}) {
-        const SimStats sharded = runReplay(rec, base, jan, shards);
-        SCOPED_TRACE("shards=" + std::to_string(shards));
-        expectSimStatsIdentical(serial, sharded);
-    }
-}
-
-TEST(ShardedReplay, FaultSweepBitIdentical)
+TEST(LaneReplay, FaultSweepBitIdentical)
 {
     // With the fault layer injecting aggressively (retries, scrubs,
-    // wear retirements), the per-line draw and wear state the shards
-    // classify must absorb back losslessly: every llc.faults.*
+    // wear retirements), a single-lane replay must reproduce the
+    // live run's per-line draw and wear state: every llc.faults.*
     // counter and distribution rides in the detail tree.
     const BenchmarkSpec spec = trimmed("lbm", 120'000);
     SystemConfig base;
@@ -194,20 +174,15 @@ TEST(ShardedReplay, FaultSweepBitIdentical)
     const SimStats live = runLive(rec, base, jan);
     ASSERT_GT(detailScalar(live, "sim.llc.faults.writeRetries"),
               0.0); // the config actually injects
-    for (std::uint32_t shards : {1u, 4u, 7u}) {
-        const SimStats sharded = runReplay(rec, base, jan, shards);
-        SCOPED_TRACE("shards=" + std::to_string(shards));
-        expectSimStatsIdentical(live, sharded);
-    }
+    expectSimStatsIdentical(live, runReplay(rec, base, jan));
 }
 
-TEST(ShardedReplay, WritePoliciesAndBypassBitIdentical)
+TEST(LaneReplay, WritePoliciesAndBypassBitIdentical)
 {
     // The non-default write-timing policies exercise accountWrite's
     // order-sensitive bank state, and bypassWritebackMiss exercises
-    // the probe-miss forwarding path; all of it lives in the timing
-    // pass, so neither the lane kernel nor sharded classification
-    // may perturb any of it.
+    // the probe-miss forwarding path; a single-lane replay must
+    // reproduce all of it.
     const BenchmarkSpec spec = trimmed("lbm", 80'000);
     const LlcModel &jan =
         publishedLlcModel("Jan", CapacityMode::FixedCapacity);
@@ -219,75 +194,44 @@ TEST(ShardedReplay, WritePoliciesAndBypassBitIdentical)
 
     for (const SystemConfig &base : variants) {
         const Recording rec = makeRecording(spec, base);
-        const SimStats live = runLive(rec, base, jan);
-        for (std::uint32_t shards : {1u, 4u}) {
-            SCOPED_TRACE("shards=" + std::to_string(shards));
-            expectSimStatsIdentical(live,
-                                    runReplay(rec, base, jan, shards));
-        }
+        expectSimStatsIdentical(runLive(rec, base, jan),
+                                runReplay(rec, base, jan));
     }
 }
 
-TEST(ShardedReplay, OvershardingClampsToSetCountAndMatches)
+TEST(LaneReplay, RunnerJobsBitIdentical)
 {
-    // More shards than the run needs (and than makes sense) must
-    // clamp rather than misroute: a huge shard count still merges to
-    // the serial state.
-    const BenchmarkSpec spec = trimmed("tonto", 60'000);
-    const SystemConfig base;
-    const Recording rec = makeRecording(spec, base);
-    const LlcModel &jan =
-        publishedLlcModel("Jan", CapacityMode::FixedCapacity);
-
-    const SimStats serial = runReplay(rec, base, jan, 1);
-    const SimStats sharded = runReplay(rec, base, jan, 1u << 30);
-    expectSimStatsIdentical(serial, sharded);
-}
-
-TEST(ShardedReplay, RunnerMatrixShardsJobsBitIdentical)
-{
-    // The full experiment engine: a tech sweep per (shards, jobs)
-    // combination, every result compared against the serial
-    // reference. jobs threads run whole simulations concurrently;
-    // shards thread inside each simulation; neither may leak into
-    // results.
+    // The full experiment engine: a tech sweep of a single-threaded
+    // workload at 8 jobs, every result compared against the serial
+    // reference. jobs threads run whole simulations concurrently and
+    // may not leak into results.
     const BenchmarkSpec spec = trimmed("tonto", 60'000);
 
     ExperimentRunner reference;
     reference.setJobs(1);
-    reference.setShards(1);
     const TechSweep want =
         reference.sweepTechs(spec, CapacityMode::FixedCapacity);
 
-    for (unsigned jobs : {1u, 8u}) {
-        for (unsigned shards : {1u, 2u, 4u, 7u}) {
-            ExperimentRunner runner;
-            runner.setJobs(jobs);
-            runner.setShards(shards);
-            const TechSweep got =
-                runner.sweepTechs(spec, CapacityMode::FixedCapacity);
-            SCOPED_TRACE("jobs=" + std::to_string(jobs) +
-                         " shards=" + std::to_string(shards));
-            ASSERT_EQ(want.results.size(), got.results.size());
-            for (std::size_t i = 0; i < want.results.size(); ++i) {
-                EXPECT_EQ(want.results[i].tech, got.results[i].tech);
-                EXPECT_EQ(want.results[i].speedup,
-                          got.results[i].speedup);
-                EXPECT_EQ(want.results[i].normEnergy,
-                          got.results[i].normEnergy);
-                EXPECT_EQ(want.results[i].normEd2p,
-                          got.results[i].normEd2p);
-                expectSimStatsIdentical(want.results[i].stats,
-                                        got.results[i].stats);
-            }
-        }
+    ExperimentRunner runner;
+    runner.setJobs(8);
+    const TechSweep got =
+        runner.sweepTechs(spec, CapacityMode::FixedCapacity);
+    ASSERT_EQ(want.results.size(), got.results.size());
+    for (std::size_t i = 0; i < want.results.size(); ++i) {
+        EXPECT_EQ(want.results[i].tech, got.results[i].tech);
+        EXPECT_EQ(want.results[i].speedup, got.results[i].speedup);
+        EXPECT_EQ(want.results[i].normEnergy,
+                  got.results[i].normEnergy);
+        EXPECT_EQ(want.results[i].normEd2p, got.results[i].normEd2p);
+        expectSimStatsIdentical(want.results[i].stats,
+                                got.results[i].stats);
     }
 }
 
-TEST(ShardedReplay, ReliabilityStudyShardsInvariant)
+TEST(LaneReplay, ReliabilityStudyJobsInvariant)
 {
     // The reliability grid drives fault-heavy sweeps through the
-    // study layer; its report must not depend on the shards knob.
+    // study layer; its report must not depend on the jobs knob.
     ReliabilityConfig serialCfg;
     serialCfg.workload = "lbm";
     serialCfg.traceScale = 0.02;
@@ -295,13 +239,11 @@ TEST(ShardedReplay, ReliabilityStudyShardsInvariant)
     serialCfg.wearLevelingFactors = {0.5};
     serialCfg.wearScale = 1e6;
     serialCfg.jobs = 1;
-    serialCfg.shards = 1;
-    ReliabilityConfig shardedCfg = serialCfg;
-    shardedCfg.jobs = 8;
-    shardedCfg.shards = 7;
+    ReliabilityConfig parallelCfg = serialCfg;
+    parallelCfg.jobs = 8;
 
     const ReliabilityStudy a = runReliabilityStudy(serialCfg);
-    const ReliabilityStudy b = runReliabilityStudy(shardedCfg);
+    const ReliabilityStudy b = runReliabilityStudy(parallelCfg);
 
     ASSERT_EQ(a.points.size(), b.points.size());
     bool sawFaults = false;
@@ -400,8 +342,8 @@ TEST(LaneReplay, WritePoliciesAndBypassMatchLiveRun)
 TEST(LaneReplay, PerCoreLlcStatsSumToGlobalCounters)
 {
     // The sim.tenant<i>.* split: identical to the live run's, and the
-    // tenants add up to the global LLC counters — at one lane (lane
-    // kernel and sharded) as well as at four.
+    // tenants add up to the global LLC counters — at one lane as
+    // well as at four.
     const BenchmarkSpec spec = trimmed("vips", 100'000);
     SystemConfig base;
     base.perCoreLlcStats = true;
@@ -409,29 +351,23 @@ TEST(LaneReplay, PerCoreLlcStatsSumToGlobalCounters)
         publishedLlcModel("Jan", CapacityMode::FixedCapacity);
     for (std::uint32_t lanes : {1u, 4u}) {
         const Recording rec = makeRecording(spec, base, lanes);
-        const SimStats live = runLive(rec, base, jan);
-        for (std::uint32_t shards : {1u, 4u}) {
-            if (shards > 1 && lanes > 1)
-                continue;
-            SCOPED_TRACE("lanes=" + std::to_string(lanes) +
-                         " shards=" + std::to_string(shards));
-            const SimStats got = runReplay(rec, base, jan, shards);
-            expectSimStatsIdentical(live, got);
-            double reads = 0, hits = 0, misses = 0, wbs = 0;
-            for (std::uint32_t i = 0; i < lanes; ++i) {
-                const std::string t =
-                    "sim.tenant" + std::to_string(i) + ".llc.";
-                reads += detailScalar(got, t + "demandReads");
-                hits += detailScalar(got, t + "demandHits");
-                misses += detailScalar(got, t + "demandMisses");
-                wbs += detailScalar(got, t + "writebacks");
-            }
-            EXPECT_GT(reads, 0.0);
-            EXPECT_EQ(reads, double(got.llc.demandReads));
-            EXPECT_EQ(hits, double(got.llc.demandHits));
-            EXPECT_EQ(misses, double(got.llc.demandMisses));
-            EXPECT_EQ(wbs, double(got.llc.writebacksIn));
+        SCOPED_TRACE("lanes=" + std::to_string(lanes));
+        const SimStats got = runReplay(rec, base, jan);
+        expectSimStatsIdentical(runLive(rec, base, jan), got);
+        double reads = 0, hits = 0, misses = 0, wbs = 0;
+        for (std::uint32_t i = 0; i < lanes; ++i) {
+            const std::string t =
+                "sim.tenant" + std::to_string(i) + ".llc.";
+            reads += detailScalar(got, t + "demandReads");
+            hits += detailScalar(got, t + "demandHits");
+            misses += detailScalar(got, t + "demandMisses");
+            wbs += detailScalar(got, t + "writebacks");
         }
+        EXPECT_GT(reads, 0.0);
+        EXPECT_EQ(reads, double(got.llc.demandReads));
+        EXPECT_EQ(hits, double(got.llc.demandHits));
+        EXPECT_EQ(misses, double(got.llc.demandMisses));
+        EXPECT_EQ(wbs, double(got.llc.writebacksIn));
     }
 }
 

@@ -552,6 +552,63 @@ TEST(Service, UnknownCoreSweepWorkloadIsAnErrorNotACrash)
     server.wait();
 }
 
+TEST(Service, ShardsParameterIsAnUnknownParameterError)
+{
+    // The daemon has no "shards" execution knob: a run request that
+    // still carries one fails as an ordinary unknown parameter, a
+    // journaled in-flight entry carrying one is skipped, and the
+    // daemon goes on serving on the same connection.
+    const std::string dir =
+        ::testing::TempDir() + "nvmcache_shards_journal_test";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const std::string journal = dir + "/inflight.v1.json";
+    {
+        StudyRequest stale = compareRequest("0.02");
+        stale.params["shards"] = "4";
+        JsonValue doc = JsonValue::makeObject();
+        doc.set("version", JsonValue::makeNumber(1));
+        JsonValue inflight = JsonValue::makeArray();
+        inflight.items.push_back(stale.toJson());
+        doc.set("inflight", inflight);
+        std::ofstream out(journal);
+        out << doc.dump() << "\n";
+    }
+    const double resumedBefore =
+        MetricsRegistry::global().counter("service.resumed").get();
+
+    ServeConfig cfg;
+    cfg.socketPath = socketPathFor("shards");
+    cfg.execThreads = 1;
+    cfg.journalPath = journal;
+    EvalServer server(cfg);
+    server.start();
+    EXPECT_EQ(
+        MetricsRegistry::global().counter("service.resumed").get(),
+        resumedBefore);
+    {
+        ServiceClient client(cfg.socketPath);
+        const JsonValue bad = client.request(JsonValue::parse(
+            "{\"op\":\"run\",\"study\":\"compare\",\"params\":"
+            "{\"workload\":\"lbm\",\"scale\":\"0.02\","
+            "\"shards\":\"4\"}}"));
+        EXPECT_FALSE(bad.at("ok").asBool());
+        EXPECT_NE(bad.at("error").asString().find(
+                      "unknown parameter 'shards'"),
+                  std::string::npos)
+            << bad.dump();
+
+        const JsonValue good = client.request(JsonValue::parse(
+            "{\"op\":\"run\",\"study\":\"compare\",\"params\":"
+            "{\"workload\":\"lbm\",\"scale\":\"0.02\"}}"));
+        ASSERT_TRUE(good.at("ok").asBool()) << good.dump();
+        EXPECT_TRUE(client.ping());
+    }
+    server.requestStop();
+    server.wait();
+    std::filesystem::remove_all(dir);
+}
+
 TEST(Service, WarmRepeatIsMemoizedAndByteIdentical)
 {
     const StudyRequest req = compareRequest("0.02");

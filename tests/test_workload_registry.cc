@@ -373,23 +373,6 @@ TEST(WorkloadRegistry, ServerFamiliesBitIdenticalAcrossJobs)
     }
 }
 
-TEST(WorkloadRegistry, ServerFamiliesBitIdenticalAcrossShards)
-{
-    const WorkloadRegistry &reg = WorkloadRegistry::global();
-    for (const char *s : {"kv:keys=1K,ops=30K",
-                          "tenants:n=2,keys=1K,ops=30K"}) {
-        const BenchmarkSpec &spec = reg.resolve(s);
-        ExperimentRunner one;
-        one.setJobs(1);
-        one.setShards(1);
-        ExperimentRunner four;
-        four.setJobs(1);
-        four.setShards(4);
-        expectSameStats(one.runOne(spec, sram()),
-                        four.runOne(spec, sram()));
-    }
-}
-
 // --- generator structure ----------------------------------------------
 
 TEST(WorkloadRegistry, TenantsInterleaveDeterministically)
