@@ -10,6 +10,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -23,8 +25,9 @@ namespace nvmcache::bench {
 
 /**
  * Parse common harness flags (via the shared util/args.hh parser).
- * Unknown flags are left alone — several harnesses parse their own on
- * top of these.
+ * A harness with flags of its own reads them in the @p extra callback;
+ * any flag left after that is an error, so a mistyped or retired flag
+ * fails loudly instead of running with defaults.
  */
 struct HarnessOptions
 {
@@ -38,7 +41,8 @@ struct HarnessOptions
     std::string storeDir;      ///< "" = persistent store off
 
     static HarnessOptions
-    parse(int argc, char **argv)
+    parse(int argc, char **argv,
+          const std::function<void(ArgParser &)> &extra = {})
     {
         HarnessOptions o;
         try {
@@ -67,6 +71,10 @@ struct HarnessOptions
                 ResultStore::setGlobal(o.storeDir);
             if (parser.flag("--progress"))
                 setProgressEnabled(true);
+            if (extra)
+                extra(parser);
+            const char *slash = std::strrchr(argv[0], '/');
+            parser.rejectUnknown(slash ? slash + 1 : argv[0]);
         } catch (const std::exception &e) {
             fatal(e.what());
         }

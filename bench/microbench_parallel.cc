@@ -17,8 +17,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -89,12 +87,14 @@ sameResults(const std::vector<TechSweep> &a,
 int
 main(int argc, char **argv)
 {
-    const auto opts = HarnessOptions::parse(argc, argv);
-    double scale = opts.quick ? 0.05 : 0.25;
+    double scale = -1.0; // unset: --quick picks it
+    const auto opts =
+        HarnessOptions::parse(argc, argv, [&](ArgParser &parser) {
+            scale = parser.num("--scale", scale);
+        });
+    if (scale < 0.0)
+        scale = opts.quick ? 0.05 : 0.25;
     unsigned max_jobs = opts.jobs ? opts.jobs : defaultJobs();
-    for (int i = 1; i + 1 < argc; ++i)
-        if (!std::strcmp(argv[i], "--scale"))
-            scale = std::atof(argv[i + 1]);
 
     banner("Parallel experiment engine: quick Fig 1 sweep "
            "(fixed-capacity, traceScale " + std::to_string(scale) +

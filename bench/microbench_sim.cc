@@ -176,6 +176,29 @@ BM_DecodeTrace(benchmark::State &state)
 BENCHMARK(BM_DecodeTrace)->Arg(200'000)->Unit(benchmark::kMillisecond);
 
 static void
+BM_RecordPrivate(benchmark::State &state)
+{
+    // Private-level (L1/L2) recording of a recorded one-thread trace:
+    // the layer that runs once per (workload, threads) before a
+    // sweep's replays, after trace recording.
+    const std::uint64_t accesses = std::uint64_t(state.range(0));
+    const CoreParams core = SystemConfig().core;
+    auto trace = RecordedTrace::record(microConfig(accesses), 1);
+    std::uint64_t bytes = 0;
+    for (auto _ : state) {
+        TraceCursor cur = trace->cursor(0);
+        std::vector<BatchSource *> srcs{&cur};
+        auto priv = PrivateTrace::record(srcs, core);
+        bytes = priv->packedBytes();
+        benchmark::DoNotOptimize(priv);
+    }
+    state.SetItemsProcessed(state.iterations() * accesses);
+    state.counters["packedBytesPerAccess"] =
+        double(bytes) / double(accesses);
+}
+BENCHMARK(BM_RecordPrivate)->Arg(200'000)->Unit(benchmark::kMillisecond);
+
+static void
 BM_ReplayTrace(benchmark::State &state)
 {
     // Full LLC+DRAM replay of a recorded trace through

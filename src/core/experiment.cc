@@ -231,90 +231,81 @@ faultConfigKey(const FaultConfig &faults)
     return key;
 }
 
-ExperimentRunner
-RunnerPool::acquire(const SystemConfig &base)
+namespace {
+
+/** One exactly-once slot: its first claimant fills the promise. */
+template <typename T>
+struct OnceEntry
 {
-    std::string key = faultConfigKey(base.llc.faults);
-    // The pooled runner captured its view of the persistent store at
-    // construction. A store swap (epoch) or destructive mutation
-    // (generation: gc, verify --repair) must therefore change the
-    // pool key, or a handle built before the mutation keeps serving
-    // state the store no longer agrees with.
-    if (auto store = ResultStore::global()) {
-        key += '\0';
-        key += "e" + std::to_string(ResultStore::globalEpoch()) + "g" +
-               std::to_string(store->generation());
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = runners_.find(key);
-    if (it == runners_.end()) {
-        it = runners_.emplace(key, ExperimentRunner(base)).first;
-        MetricsRegistry::global()
-            .gauge("service.runnerPoolSize")
-            .set(double(runners_.size()));
-    }
+    std::promise<T> promise;
+    std::shared_future<T> future{promise.get_future()};
+};
+
+template <typename T>
+using OnceMap =
+    std::unordered_map<std::string, std::shared_ptr<OnceEntry<T>>>;
+
+/**
+ * The entry for @p key in @p map, created under @p mu if absent;
+ * @p owner is set when this call created it and so must fill it.
+ */
+template <typename T>
+std::shared_ptr<OnceEntry<T>>
+claim(std::mutex &mu, OnceMap<T> &map, const std::string &key,
+      bool &owner)
+{
+    std::lock_guard<std::mutex> lock(mu);
+    auto [it, inserted] = map.try_emplace(key);
+    if (inserted)
+        it->second = std::make_shared<OnceEntry<T>>();
+    owner = inserted;
     return it->second;
 }
 
-std::size_t
-RunnerPool::size() const
+} // namespace
+
+/**
+ * Exactly-once trace stores, keyed on generator (and CoreParams)
+ * identity only, so the 11 models of a tech sweep (and the
+ * characterization pass) replay one shared RecordedTrace and
+ * PrivateTrace instead of regenerating. No key carries fault knobs:
+ * a RunnerPool shares one shelf across all its fault-keyed runners
+ * of a store view.
+ */
+struct ExperimentRunner::Shelf
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    return runners_.size();
-}
+    std::mutex traceMu;
+    OnceMap<std::shared_ptr<const RecordedTrace>> traces;
+    std::mutex privMu;
+    OnceMap<std::shared_ptr<const PrivateTrace>> privates;
+};
 
 /**
  * Run cache with exactly-once semantics: the first caller of a key
  * owns the simulation, concurrent callers of the same key block on
- * its future instead of simulating again. The trace store applies
- * the same discipline one layer down, keyed on generator identity
- * only, so the 11 models of a tech sweep (and the characterization
- * pass) replay one shared RecordedTrace instead of regenerating.
+ * its future instead of simulating again. Run keys include the fault
+ * knobs, so the memo is per fault config; the trace stores one layer
+ * down live on the (possibly shared) Shelf.
  *
- * Counters are kept per-memo (so RunnerStats stays an exact view of
- * one runner and its copies) and mirrored into the process-wide
+ * Counters — trace-shelf ones included, attributed to the runner
+ * that asked — are kept per-memo (so RunnerStats stays an exact view
+ * of one runner and its copies) and mirrored into the process-wide
  * registry under "runner.memo.*" / "runner.traceStore.*" so
  * structured run reports capture them; snapshot diffs recover exact
  * per-study deltas there.
  */
 struct ExperimentRunner::Memo
 {
-    struct Entry
-    {
-        std::promise<SimStats> promise;
-        std::shared_future<SimStats> future{promise.get_future()};
-    };
-
-    struct TraceEntry
-    {
-        std::promise<std::shared_ptr<const RecordedTrace>> promise;
-        std::shared_future<std::shared_ptr<const RecordedTrace>>
-            future{promise.get_future()};
-    };
-
-    struct PrivateEntry
-    {
-        std::promise<std::shared_ptr<const PrivateTrace>> promise;
-        std::shared_future<std::shared_ptr<const PrivateTrace>>
-            future{promise.get_future()};
-    };
-
     std::mutex mu;
-    std::unordered_map<std::string, std::shared_ptr<Entry>> runs;
+    OnceMap<SimStats> runs;
     std::atomic<std::uint64_t> simulations{0};
     std::atomic<std::uint64_t> memoHits{0};
     std::atomic<std::uint64_t> baselineSimulations{0};
 
-    std::mutex traceMu;
-    std::unordered_map<std::string, std::shared_ptr<TraceEntry>>
-        traces;
     std::atomic<std::uint64_t> traceBuilds{0};
     std::atomic<std::uint64_t> traceHits{0};
     std::atomic<std::uint64_t> traceBytes{0};
 
-    std::mutex privMu;
-    std::unordered_map<std::string, std::shared_ptr<PrivateEntry>>
-        privates;
     std::atomic<std::uint64_t> privateBuilds{0};
     std::atomic<std::uint64_t> privateHits{0};
     std::atomic<std::uint64_t> privateBytes{0};
@@ -360,6 +351,42 @@ struct ExperimentRunner::Memo
     }
 };
 
+ExperimentRunner
+RunnerPool::acquire(const SystemConfig &base)
+{
+    // The pooled runner captured its view of the persistent store at
+    // construction. A store swap (epoch) or destructive mutation
+    // (generation: gc, verify --repair) must therefore change the
+    // pool key, or a handle built before the mutation keeps serving
+    // state the store no longer agrees with. The same holds for the
+    // trace shelf, so it is keyed on the view alone.
+    std::string view;
+    if (auto store = ResultStore::global())
+        view = "e" + std::to_string(ResultStore::globalEpoch()) + "g" +
+               std::to_string(store->generation());
+    const std::string key =
+        faultConfigKey(base.llc.faults) + '\0' + view;
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = runners_.find(key);
+    if (it == runners_.end()) {
+        std::shared_ptr<ExperimentRunner::Shelf> &shelf = shelves_[view];
+        if (!shelf)
+            shelf = std::make_shared<ExperimentRunner::Shelf>();
+        it = runners_.emplace(key, ExperimentRunner(base, shelf)).first;
+        MetricsRegistry::global()
+            .gauge("service.runnerPoolSize")
+            .set(double(runners_.size()));
+    }
+    return it->second;
+}
+
+std::size_t
+RunnerPool::size() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return runners_.size();
+}
+
 const RunResult &
 TechSweep::byTech(const std::string &tech) const
 {
@@ -381,8 +408,14 @@ TechSweep::byClass(NvmClass klass) const
 }
 
 ExperimentRunner::ExperimentRunner(SystemConfig base)
+    : ExperimentRunner(std::move(base), std::make_shared<Shelf>())
+{
+}
+
+ExperimentRunner::ExperimentRunner(SystemConfig base,
+                                   std::shared_ptr<Shelf> shelf)
     : base_(std::move(base)), jobs_(defaultJobs()),
-      memo_(std::make_shared<Memo>()),
+      memo_(std::make_shared<Memo>()), shelf_(std::move(shelf)),
       store_(ResultStore::global()),
       diskBaseKey_(baseConfigKey(base_))
 {
@@ -418,17 +451,8 @@ ExperimentRunner::recordedTrace(const GeneratorConfig &gen,
                                 std::uint32_t threads) const
 {
     const std::string key = genKey(gen, threads);
-    std::shared_ptr<Memo::TraceEntry> entry;
     bool owner = false;
-    {
-        std::lock_guard<std::mutex> lock(memo_->traceMu);
-        auto [it, inserted] = memo_->traces.try_emplace(key);
-        if (inserted) {
-            it->second = std::make_shared<Memo::TraceEntry>();
-            owner = true;
-        }
-        entry = it->second;
-    }
+    auto entry = claim(shelf_->traceMu, shelf_->traces, key, owner);
 
     if (owner) {
         std::shared_ptr<const RecordedTrace> trace;
@@ -477,17 +501,8 @@ ExperimentRunner::privateTrace(const GeneratorConfig &gen,
                                std::uint32_t threads) const
 {
     const std::string key = privKey(gen, threads, base_.core);
-    std::shared_ptr<Memo::PrivateEntry> entry;
     bool owner = false;
-    {
-        std::lock_guard<std::mutex> lock(memo_->privMu);
-        auto [it, inserted] = memo_->privates.try_emplace(key);
-        if (inserted) {
-            it->second = std::make_shared<Memo::PrivateEntry>();
-            owner = true;
-        }
-        entry = it->second;
-    }
+    auto entry = claim(shelf_->privMu, shelf_->privates, key, owner);
 
     if (owner) {
         std::shared_ptr<const PrivateTrace> priv;
@@ -592,17 +607,8 @@ ExperimentRunner::runOne(const BenchmarkSpec &spec, const LlcModel &llc,
 
     const std::string key =
         runKey(spec.gen, llc, threads, base_.llc.faults);
-    std::shared_ptr<Memo::Entry> entry;
     bool owner = false;
-    {
-        std::lock_guard<std::mutex> lock(memo_->mu);
-        auto [it, inserted] = memo_->runs.try_emplace(key);
-        if (inserted) {
-            it->second = std::make_shared<Memo::Entry>();
-            owner = true;
-        }
-        entry = it->second;
-    }
+    auto entry = claim(memo_->mu, memo_->runs, key, owner);
 
     if (owner) {
         // Disk tier: a run persisted by an earlier process (or an
@@ -680,17 +686,11 @@ ExperimentRunner::sweepTechs(const BenchmarkSpec &spec,
     if (threads == 0)
         threads = spec.defaultThreads;
 
-    TechSweep sweep;
-    sweep.workload = spec.name;
-    sweep.mode = mode;
-    sweep.cores = threads;
-
     // Validate the model list before simulating anything: every
     // result is normalized against the SRAM baseline, so its absence
     // is a configuration error, not a post-hoc surprise.
     const std::vector<LlcModel> &models = publishedLlcModels(mode);
-    const LlcModel *sram = findByClass(models, NvmClass::SRAM);
-    if (!sram)
+    if (!findByClass(models, NvmClass::SRAM))
         panic("published model list has no SRAM baseline");
 
     // Fan the eleven independent simulations out; the memo makes any
@@ -699,13 +699,28 @@ ExperimentRunner::sweepTechs(const BenchmarkSpec &spec,
         parallelMap(jobs_, models, [&](const LlcModel &llc) {
             return runOne(spec, llc, threads);
         });
+    return normalizeSweep(spec.name, mode, threads, models,
+                          std::move(stats));
+}
 
+TechSweep
+normalizeSweep(const std::string &workload, CapacityMode mode,
+               std::uint32_t threads, const std::vector<LlcModel> &models,
+               std::vector<SimStats> stats)
+{
+    const LlcModel *sram = findByClass(models, NvmClass::SRAM);
+    if (!sram)
+        panic("normalizeSweep: model list has no SRAM baseline");
     const SimStats sram_stats =
         stats[std::size_t(sram - models.data())];
 
+    TechSweep sweep;
+    sweep.workload = workload;
+    sweep.mode = mode;
+    sweep.cores = threads;
     for (std::size_t i = 0; i < models.size(); ++i) {
         RunResult r;
-        r.workload = spec.name;
+        r.workload = workload;
         r.tech = models[i].name;
         r.klass = models[i].klass;
         r.mode = mode;

@@ -68,6 +68,17 @@ struct TechSweep
     const RunResult &byClass(NvmClass klass) const;
 };
 
+/**
+ * Assemble one workload's TechSweep from per-model stats (@p stats[i]
+ * ran @p models[i]) and normalize every result against the SRAM
+ * baseline among them. Shared by sweepTechs() and the studies that
+ * fan several sweeps out at once.
+ */
+TechSweep normalizeSweep(const std::string &workload, CapacityMode mode,
+                         std::uint32_t threads,
+                         const std::vector<LlcModel> &models,
+                         std::vector<SimStats> stats);
+
 /** Execution counters of one ExperimentRunner (memo effectiveness). */
 struct RunnerStats
 {
@@ -82,21 +93,24 @@ struct RunnerStats
     std::uint64_t baselineSimulations = 0;
 
     /**
-     * Trace-store counters: builds counts RecordedTrace
-     * materializations (exactly one per distinct (generator, thread
-     * count) pair for the runner's lifetime), hits counts requests
-     * served from the store, bytes is the packed bytes resident.
+     * Trace-store counters, attributed to the runner that asked:
+     * builds counts RecordedTrace materializations, hits counts
+     * requests served from the store, bytes is the packed bytes this
+     * runner built. Runners of one pool store view share one trace
+     * shelf, so summed over them builds is exactly one per distinct
+     * (generator, thread count) pair.
      */
     std::uint64_t traceBuilds = 0;
     std::uint64_t traceHits = 0;
     std::uint64_t traceBytes = 0;
 
     /**
-     * Private-level store counters, one layer above the trace store:
-     * builds counts PrivateTrace materializations (exactly one per
-     * distinct (generator, thread count, CoreParams)), hits counts
-     * requests served from the store, bytes is the packed bytes
-     * resident.
+     * Private-level store counters, one layer above the trace store
+     * and attributed the same way: builds counts PrivateTrace
+     * materializations (summed over a pool store view, exactly one
+     * per distinct (generator, thread count, CoreParams)), hits
+     * counts requests served from the store, bytes is the packed
+     * bytes this runner built.
      */
     std::uint64_t privateBuilds = 0;
     std::uint64_t privateHits = 0;
@@ -130,7 +144,7 @@ class ExperimentRunner
 
     /**
      * Materialize (or fetch from the runner's exactly-once trace
-     * store) the recorded trace for @p gen split across @p threads.
+     * shelf) the recorded trace for @p gen split across @p threads.
      * The first caller of a key records it; concurrent callers block
      * on the build instead of generating again. The returned trace is
      * immutable and shared read-only by every simulation,
@@ -176,7 +190,12 @@ class ExperimentRunner
     RunnerStats runnerStats() const;
 
   private:
+    friend class RunnerPool;
     struct Memo;
+    struct Shelf;
+
+    /** Runner recording into (and reading from) @p shelf. */
+    ExperimentRunner(SystemConfig base, std::shared_ptr<Shelf> shelf);
 
     SimStats simulateUncached(const BenchmarkSpec &spec,
                               const LlcModel &llc,
@@ -185,6 +204,12 @@ class ExperimentRunner
     SystemConfig base_;
     unsigned jobs_;
     std::shared_ptr<Memo> memo_; ///< shared so copies reuse runs
+    /**
+     * RecordedTrace/PrivateTrace stores. Their keys carry no fault
+     * knobs, so a RunnerPool hands one shelf to every runner of a
+     * store view while each fault config keeps its own run memo.
+     */
+    std::shared_ptr<Shelf> shelf_;
 
     /**
      * Persistent tier between the in-memory memo and simulation,
@@ -207,14 +232,21 @@ class ExperimentRunner
 std::string faultConfigKey(const FaultConfig &faults);
 
 /**
- * Keyed pool of long-lived ExperimentRunners, one per fault-config
- * key. The batch service (and any other long-lived host) acquires
- * runners from one pool so memo caches, RecordedTrace/PrivateTrace
- * stores, and estimator results persist across requests: the second
- * request for a study hits warm stores instead of re-simulating.
+ * Keyed pool of long-lived ExperimentRunners, one per (fault config,
+ * store view) key; the store view is the persistent store's epoch
+ * and generation. The batch service (and any other long-lived host)
+ * acquires runners from one pool so memo caches, RecordedTrace/
+ * PrivateTrace stores, and estimator results persist across
+ * requests: the second request for a study hits warm stores instead
+ * of re-simulating.
+ *
+ * Every runner of one store view shares one trace shelf: a fault
+ * sweep records each trace and private-level recording once, not
+ * once per fault config. A store swap, gc or repair starts a new
+ * view and so a fresh shelf.
  *
  * acquire() returns a *copy* of the pooled runner. Copies share the
- * memo and trace stores (the expensive state) but carry their own
+ * memo and trace shelf (the expensive state) but carry their own
  * jobs knob, so concurrent studies can set different concurrency
  * levels without racing. The pool assumes every caller uses the same
  * non-fault base SystemConfig (true of all studies today, which vary
@@ -237,6 +269,9 @@ class RunnerPool
   private:
     mutable std::mutex mu_;
     std::map<std::string, ExperimentRunner> runners_;
+    /** Store view -> the trace shelf its runners share. */
+    std::map<std::string, std::shared_ptr<ExperimentRunner::Shelf>>
+        shelves_;
 };
 
 } // namespace nvmcache

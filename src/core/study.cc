@@ -1,6 +1,7 @@
 #include "core/study.hh"
 
 #include <algorithm>
+#include <iterator>
 
 #include "util/logging.hh"
 #include "util/metrics.hh"
@@ -406,84 +407,119 @@ runReliabilityStudy(const ReliabilityConfig &cfg, RunnerPool *pool)
     BenchmarkSpec spec = benchmark(cfg.workload);
     spec.gen.totalAccesses =
         std::uint64_t(double(spec.gen.totalAccesses) * cfg.traceScale);
+    const std::uint32_t threads =
+        cfg.threads == 0 ? spec.defaultThreads : cfg.threads;
+    const std::vector<LlcModel> &models = publishedLlcModels(cfg.mode);
 
     ReliabilityStudy study;
     study.config = cfg;
 
     PhaseTimer timer("phase.reliability");
-    progressBegin("reliability sweep", cfg.berScales.size() *
-                                           cfg.wearLevelingFactors.size());
+
+    // One runner per grid point: the fault knobs live in the runner's
+    // base SystemConfig and in every run key, so each point keeps its
+    // own memo. All of them come from one pool and so share its trace
+    // shelf: the grid records the workload once. A caller-owned pool
+    // also keeps them warm across repeated sweeps.
+    RunnerPool local;
+    if (!pool)
+        pool = &local;
+    struct GridPoint
+    {
+        double ber;
+        double wl;
+        ExperimentRunner runner;
+    };
+    std::vector<GridPoint> grid;
     for (double ber : cfg.berScales) {
         for (double wl : cfg.wearLevelingFactors) {
-            // One runner per grid point: the fault knobs live in the
-            // runner's base SystemConfig, so sharing a memo across
-            // points would conflate different fault settings. A
-            // caller-owned pool keys runners the same way and keeps
-            // them warm across repeated sweeps.
             SystemConfig sys;
             sys.llc.faults.enabled = true;
             sys.llc.faults.berScale = ber;
             sys.llc.faults.wearLevelingFactor = wl;
             sys.llc.faults.wearScale = cfg.wearScale;
             sys.llc.faults.maxWriteRetries = cfg.maxWriteRetries;
-            ExperimentRunner runner =
-                pool ? pool->acquire(sys) : ExperimentRunner(sys);
-            runner.setJobs(cfg.jobs);
-
-            TechSweep sweep =
-                runner.sweepTechs(spec, cfg.mode, cfg.threads);
-            for (RunResult &r : sweep.results) {
-                ReliabilityPoint p;
-                p.tech = r.tech;
-                p.klass = r.klass;
-                p.berScale = ber;
-                p.wearLevelingFactor = wl;
-                p.speedup = r.speedup;
-                p.normEnergy = r.normEnergy;
-
-                const StatsSnapshot &d = r.stats.detail;
-                const std::string f = "sim.llc.faults.";
-                p.writeRetries = std::uint64_t(
-                    detailValue(d, f + "writeRetries"));
-                p.writeScrubs = std::uint64_t(
-                    detailValue(d, f + "writeScrubs"));
-                p.readScrubs = std::uint64_t(
-                    detailValue(d, f + "readScrubs"));
-                p.uncorrectable = std::uint64_t(
-                    detailValue(d, f + "uncorrectable"));
-                p.retiredLines = std::uint64_t(
-                    detailValue(d, f + "retiredLines"));
-                const double frac =
-                    detailValue(d, f + "effectiveCapacityFraction");
-                p.effectiveCapacityFraction = frac > 0.0 ? frac : 1.0;
-
-                // Close the loop with the closed-form endurance
-                // model: project lifetime from this run's observed
-                // write traffic and measured hottest-line imbalance.
-                const LlcModel &model =
-                    publishedLlcModel(r.tech, cfg.mode);
-                LifetimeInputs in;
-                in.llcWrites = r.stats.llc.fills +
-                               r.stats.llc.writebacksIn -
-                               r.stats.llc.writeBypasses;
-                in.seconds = r.stats.seconds;
-                in.cacheLines =
-                    model.capacityBytes / sys.llc.blockBytes;
-                const double mean = double(in.llcWrites) /
-                                    double(in.cacheLines);
-                const double hottest =
-                    detailValue(d, "sim.llc.maxLineWrites");
-                in.writeImbalance =
-                    mean > 0.0 ? std::max(1.0, hottest / mean) : 1.0;
-                p.lifetime = estimateLifetime(p.klass, in, wl);
-
-                p.stats = std::move(r.stats);
-                study.points.push_back(std::move(p));
-            }
-            progressTick();
+            grid.push_back({ber, wl, pool->acquire(sys)});
+            grid.back().runner.setJobs(cfg.jobs);
         }
     }
+
+    // Fan every (grid point, model) run out at once, then assemble
+    // each point's sweep from the returned stats in grid order.
+    struct Job
+    {
+        const ExperimentRunner *runner;
+        const LlcModel *llc;
+    };
+    std::vector<Job> jobs;
+    jobs.reserve(grid.size() * models.size());
+    for (const GridPoint &gp : grid)
+        for (const LlcModel &llc : models)
+            jobs.push_back({&gp.runner, &llc});
+    progressBegin("reliability sweep", jobs.size());
+    std::vector<SimStats> stats = parallelMap(
+        grid.front().runner.jobs(), jobs, [&](const Job &job) {
+            SimStats s = job.runner->runOne(spec, *job.llc, threads);
+            progressTick();
+            return s;
+        });
     progressEnd();
+
+    const std::ptrdiff_t perPoint = std::ptrdiff_t(models.size());
+    for (std::size_t g = 0; g < grid.size(); ++g) {
+        const GridPoint &gp = grid[g];
+        const auto first = stats.begin() + std::ptrdiff_t(g) * perPoint;
+        TechSweep sweep = normalizeSweep(
+            spec.name, cfg.mode, threads, models,
+            std::vector<SimStats>(std::make_move_iterator(first),
+                                  std::make_move_iterator(first + perPoint)));
+        for (RunResult &r : sweep.results) {
+            ReliabilityPoint p;
+            p.tech = r.tech;
+            p.klass = r.klass;
+            p.berScale = gp.ber;
+            p.wearLevelingFactor = gp.wl;
+            p.speedup = r.speedup;
+            p.normEnergy = r.normEnergy;
+
+            const StatsSnapshot &d = r.stats.detail;
+            const std::string f = "sim.llc.faults.";
+            p.writeRetries =
+                std::uint64_t(detailValue(d, f + "writeRetries"));
+            p.writeScrubs =
+                std::uint64_t(detailValue(d, f + "writeScrubs"));
+            p.readScrubs =
+                std::uint64_t(detailValue(d, f + "readScrubs"));
+            p.uncorrectable =
+                std::uint64_t(detailValue(d, f + "uncorrectable"));
+            p.retiredLines =
+                std::uint64_t(detailValue(d, f + "retiredLines"));
+            const double frac =
+                detailValue(d, f + "effectiveCapacityFraction");
+            p.effectiveCapacityFraction = frac > 0.0 ? frac : 1.0;
+
+            // Close the loop with the closed-form endurance model:
+            // project lifetime from this run's observed write traffic
+            // and measured hottest-line imbalance.
+            const LlcModel &model = publishedLlcModel(r.tech, cfg.mode);
+            LifetimeInputs in;
+            in.llcWrites = r.stats.llc.fills + r.stats.llc.writebacksIn -
+                           r.stats.llc.writeBypasses;
+            in.seconds = r.stats.seconds;
+            in.cacheLines = model.capacityBytes /
+                            gp.runner.baseConfig().llc.blockBytes;
+            const double mean =
+                double(in.llcWrites) / double(in.cacheLines);
+            const double hottest =
+                detailValue(d, "sim.llc.maxLineWrites");
+            in.writeImbalance =
+                mean > 0.0 ? std::max(1.0, hottest / mean) : 1.0;
+            p.lifetime = estimateLifetime(p.klass, in, gp.wl);
+
+            p.stats = std::move(r.stats);
+            study.points.push_back(std::move(p));
+        }
+    }
     return study;
 }
 

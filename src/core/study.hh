@@ -276,14 +276,16 @@ struct ReliabilityStudy
  * Sweep the fault-injection grid over every published technology
  * (plus the SRAM control, whose raw error rates are zero). Each grid
  * point uses an ExperimentRunner whose base system carries that
- * point's FaultConfig, so memoization never mixes fault settings; all
- * statistics are bit-identical at any `jobs` level.
+ * point's FaultConfig, so memoization never mixes fault settings.
+ * The runners come from one pool and share its trace shelf, so the
+ * workload is recorded once for the whole grid, and every
+ * (point, technology) run fans out in one pass over `jobs` threads.
+ * All statistics are bit-identical at any `jobs` level.
  *
  * @param pool  optional long-lived runner pool (the batch service's):
- *        when given, each grid point's runner is drawn from it keyed
- *        by fault config, so repeated sweeps reuse warm memo caches
- *        and trace stores. nullptr builds ephemeral per-point runners
- *        (the historical behavior); results are identical either way.
+ *        when given, repeated sweeps reuse its warm memo caches and
+ *        trace shelf. nullptr uses a pool local to this call; results
+ *        are identical either way.
  */
 ReliabilityStudy runReliabilityStudy(const ReliabilityConfig &cfg,
                                      RunnerPool *pool = nullptr);

@@ -627,10 +627,10 @@ class ReliabilityStudyDef : public Study
     void
     run(const ExperimentRunner &runner) override
     {
-        // The reliability grid builds one runner per fault setting;
-        // the shared pool (when hosted by the service) keeps each of
-        // them warm across requests. Concurrency follows the
-        // dispatching runner.
+        // The reliability grid draws one runner per fault setting
+        // from the pool; they share its trace shelf, and a hosting
+        // service keeps them warm across requests. Concurrency
+        // follows the dispatching runner.
         cfg_.jobs = runner.jobs();
         study_ = runReliabilityStudy(cfg_, pool_);
     }

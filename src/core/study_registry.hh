@@ -110,9 +110,10 @@ class Study
 
     /**
      * Optional shared runner pool. Studies that build their own
-     * fault-keyed runners (reliability) draw them from here so a
-     * long-lived host keeps every fault configuration warm; unset,
-     * they build ephemeral runners.
+     * fault-keyed runners (reliability) draw them from here, so they
+     * share the pool's trace shelf and a long-lived host keeps every
+     * fault configuration warm; unset, they use a pool local to the
+     * run.
      */
     void setRunnerPool(RunnerPool *pool) { pool_ = pool; }
 

@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/study.hh"
@@ -21,6 +23,7 @@
 #include "sim/cache.hh"
 #include "sim/faults.hh"
 #include "sim/system.hh"
+#include "util/metrics.hh"
 #include "workload/generators.hh"
 
 using namespace nvmcache;
@@ -437,6 +440,50 @@ smallReliabilityConfig()
     return cfg;
 }
 
+/** Point-by-point equality of two studies, full detail included. */
+void
+expectSamePoints(const ReliabilityStudy &a, const ReliabilityStudy &b)
+{
+    ASSERT_EQ(a.points.size(), b.points.size());
+    for (std::size_t i = 0; i < a.points.size(); ++i) {
+        const ReliabilityPoint &pa = a.points[i];
+        const ReliabilityPoint &pb = b.points[i];
+        EXPECT_EQ(pa.tech, pb.tech);
+        EXPECT_EQ(pa.berScale, pb.berScale);
+        EXPECT_EQ(pa.wearLevelingFactor, pb.wearLevelingFactor);
+        EXPECT_EQ(pa.writeRetries, pb.writeRetries);
+        EXPECT_EQ(pa.writeScrubs, pb.writeScrubs);
+        EXPECT_EQ(pa.readScrubs, pb.readScrubs);
+        EXPECT_EQ(pa.uncorrectable, pb.uncorrectable);
+        EXPECT_EQ(pa.retiredLines, pb.retiredLines);
+        EXPECT_EQ(pa.effectiveCapacityFraction,
+                  pb.effectiveCapacityFraction);
+        EXPECT_EQ(pa.speedup, pb.speedup);
+        EXPECT_EQ(pa.normEnergy, pb.normEnergy);
+        EXPECT_EQ(pa.lifetime.lifetimeYears, pb.lifetime.lifetimeYears);
+        EXPECT_EQ(pa.stats.cycles, pb.stats.cycles);
+        // The whole hierarchical report — every llc.faults.* counter
+        // and distribution — bit for bit.
+        EXPECT_TRUE(pa.stats.detail == pb.stats.detail) << pa.tech;
+    }
+    EXPECT_TRUE(aggregateSimStats(a) == aggregateSimStats(b));
+}
+
+/** Process-wide counter deltas over one call of @p fn. */
+template <typename Fn>
+std::map<std::string, std::uint64_t>
+counterDeltas(const std::vector<std::string> &names, Fn fn)
+{
+    std::map<std::string, std::uint64_t> before;
+    for (const std::string &n : names)
+        before[n] = MetricsRegistry::global().counter(n).get();
+    fn();
+    std::map<std::string, std::uint64_t> delta;
+    for (const std::string &n : names)
+        delta[n] = MetricsRegistry::global().counter(n).get() - before[n];
+    return delta;
+}
+
 } // namespace
 
 TEST(FaultDeterminism, ReliabilityStudyBitIdenticalAcrossJobCounts)
@@ -448,30 +495,56 @@ TEST(FaultDeterminism, ReliabilityStudyBitIdenticalAcrossJobCounts)
 
     const ReliabilityStudy a = runReliabilityStudy(serialCfg);
     const ReliabilityStudy b = runReliabilityStudy(parallelCfg);
+    expectSamePoints(a, b);
 
-    ASSERT_EQ(a.points.size(), b.points.size());
     bool sawFaults = false;
-    for (std::size_t i = 0; i < a.points.size(); ++i) {
-        const ReliabilityPoint &pa = a.points[i];
-        const ReliabilityPoint &pb = b.points[i];
-        EXPECT_EQ(pa.tech, pb.tech);
-        EXPECT_EQ(pa.writeRetries, pb.writeRetries);
-        EXPECT_EQ(pa.writeScrubs, pb.writeScrubs);
-        EXPECT_EQ(pa.readScrubs, pb.readScrubs);
-        EXPECT_EQ(pa.uncorrectable, pb.uncorrectable);
-        EXPECT_EQ(pa.retiredLines, pb.retiredLines);
-        EXPECT_EQ(pa.effectiveCapacityFraction,
-                  pb.effectiveCapacityFraction);
-        EXPECT_EQ(pa.speedup, pb.speedup);
-        EXPECT_EQ(pa.normEnergy, pb.normEnergy);
-        EXPECT_EQ(pa.stats.cycles, pb.stats.cycles);
-        // The whole hierarchical report — every llc.faults.* counter
-        // and distribution — bit for bit.
-        EXPECT_TRUE(pa.stats.detail == pb.stats.detail) << pa.tech;
-        sawFaults = sawFaults || pa.writeRetries > 0;
-    }
+    for (const ReliabilityPoint &p : a.points)
+        sawFaults = sawFaults || p.writeRetries > 0;
     EXPECT_TRUE(sawFaults); // the grid point actually injected faults
-    EXPECT_TRUE(aggregateSimStats(a) == aggregateSimStats(b));
+}
+
+TEST(FaultDeterminism, ReliabilityGridRecordsOnceOnOnePool)
+{
+    ReliabilityConfig cfg = smallReliabilityConfig();
+    cfg.berScales = {1.0, 8.0, 64.0};
+    cfg.wearLevelingFactors = {1.0, 0.5, 0.125};
+    const std::vector<std::string> names = {
+        "runner.traceStore.builds", "runner.privateStore.builds",
+        "runner.memo.simulations", "runner.memo.hits"};
+    const std::size_t runs = 3 * 3 * 11;
+
+    // Each cold grid, whatever its concurrency, records the workload
+    // and its private-level outcomes once for all nine runners.
+    ReliabilityConfig serialCfg = cfg;
+    serialCfg.jobs = 1;
+    ReliabilityConfig parallelCfg = cfg;
+    parallelCfg.jobs = 8;
+    RunnerPool serialPool, ownedPool;
+    ReliabilityStudy serial, parallel, poolless, warm;
+    for (auto [study, conf, pool] :
+         {std::tuple{&serial, &serialCfg, &serialPool},
+          std::tuple{&parallel, &parallelCfg, &ownedPool},
+          std::tuple{&poolless, &cfg, (RunnerPool *)nullptr}}) {
+        const auto d = counterDeltas(
+            names, [&] { *study = runReliabilityStudy(*conf, pool); });
+        EXPECT_EQ(d.at("runner.traceStore.builds"), 1u);
+        EXPECT_EQ(d.at("runner.privateStore.builds"), 1u);
+        EXPECT_EQ(d.at("runner.memo.simulations"), runs);
+        EXPECT_EQ(study->points.size(), runs);
+    }
+    EXPECT_EQ(serialPool.size(), 9u);
+
+    // A warm repeat on the caller-owned pool looks every run up once.
+    const auto d = counterDeltas(names, [&] {
+        warm = runReliabilityStudy(parallelCfg, &ownedPool);
+    });
+    EXPECT_EQ(d.at("runner.traceStore.builds"), 0u);
+    EXPECT_EQ(d.at("runner.memo.simulations"), 0u);
+    EXPECT_EQ(d.at("runner.memo.hits"), runs);
+
+    expectSamePoints(serial, parallel);
+    expectSamePoints(serial, poolless);
+    expectSamePoints(serial, warm);
 }
 
 TEST(FaultDeterminism, ReplayedRunMatchesLiveRun)

@@ -274,6 +274,39 @@ TEST(RunnerPoolT, KeysRunnersByFaultConfig)
     EXPECT_EQ(pool.size(), 2u);
 }
 
+TEST(RunnerPoolT, FaultKeyedRunnersShareOneShelf)
+{
+    BenchmarkSpec spec = benchmark("lbm");
+    spec.gen.totalAccesses = 50'000;
+    const std::uint32_t threads = spec.defaultThreads;
+
+    SystemConfig mild;
+    mild.llc.faults.enabled = true;
+    mild.llc.faults.berScale = 1.0;
+    SystemConfig harsh = mild;
+    harsh.llc.faults.berScale = 64.0;
+
+    RunnerPool pool;
+    const ExperimentRunner a = pool.acquire(mild);
+    const ExperimentRunner b = pool.acquire(harsh);
+    EXPECT_EQ(pool.size(), 2u); // one run memo per fault config...
+
+    // ...but one recording of the workload between them.
+    const auto trace = a.recordedTrace(spec.gen, threads);
+    EXPECT_EQ(b.recordedTrace(spec.gen, threads).get(), trace.get());
+    const auto priv = b.privateTrace(spec.gen, threads);
+    EXPECT_EQ(a.privateTrace(spec.gen, threads).get(), priv.get());
+
+    // Counters stay with the runner that asked; summed over the pool
+    // they count distinct keys.
+    const RunnerStats sa = a.runnerStats();
+    const RunnerStats sb = b.runnerStats();
+    EXPECT_EQ(sa.traceBuilds + sb.traceBuilds, 1u);
+    EXPECT_EQ(sa.privateBuilds + sb.privateBuilds, 1u);
+    EXPECT_EQ(sa.traceBytes + sb.traceBytes, trace->packedBytes());
+    EXPECT_EQ(sa.privateBytes + sb.privateBytes, priv->packedBytes());
+}
+
 TEST(RunnerPoolT, AcquiredRunnersShareMemo)
 {
     BenchmarkSpec spec = benchmark("lbm");

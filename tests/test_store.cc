@@ -402,12 +402,26 @@ TEST(StoreWarmRestart, RunnerPoolKeysOnGenerationAndEpoch)
     (void)pool.acquire();
     EXPECT_EQ(pool.size(), 1u); // same store view => same runner
 
+    BenchmarkSpec spec = benchmark("lbm");
+    spec.gen.totalAccesses = 20'000;
+    const std::uint32_t threads = spec.defaultThreads;
+    const auto shelved =
+        pool.acquire().recordedTrace(spec.gen, threads);
+
     // A destructive store mutation (gc/repair, possibly by a sibling
     // process) must retire pooled handles built before it: their
     // in-memory view no longer agrees with the disk.
     ResultStore::global()->bumpGeneration();
-    (void)pool.acquire();
+    const ExperimentRunner after = pool.acquire();
     EXPECT_EQ(pool.size(), 2u);
+
+    // That covers the trace shelf too: the new view records again
+    // (or reads the disk), never the old view's in-memory trace.
+    const auto fresh = after.recordedTrace(spec.gen, threads);
+    const RunnerStats st = after.runnerStats();
+    EXPECT_EQ(st.traceHits, 0u);
+    EXPECT_EQ(st.traceBuilds + st.diskHits, 1u);
+    EXPECT_NE(fresh.get(), shelved.get());
 
     // So must swapping the process-wide store itself.
     ResultStore::setGlobal(freshDir("pool_gen2"));
